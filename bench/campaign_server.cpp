@@ -2,12 +2,13 @@
  * @file
  * campaign_server: the long-running campaign-as-a-service daemon.
  *
- * Binds serve::CampaignServer on loopback and serves protocol-v1
- * requests until SIGINT/SIGTERM, which triggers a graceful drain:
- * stop accepting, answer new requests SHUTTING_DOWN, cancel in-flight
- * campaigns at their next day boundary (flushing a final checkpoint)
- * and exit 0. `--port 0` (the default) binds an ephemeral port and
- * prints it — scripts parse the "listening on port N" line.
+ * Binds serve::CampaignServer on loopback and serves requests in the
+ * serve/protocol.hpp wire format until SIGINT/SIGTERM, which triggers
+ * a graceful drain: stop accepting, answer new requests SHUTTING_DOWN,
+ * cancel in-flight campaigns at their next day boundary (flushing a
+ * final checkpoint) and exit 0. `--port 0` (the default) binds an
+ * ephemeral port and prints it — scripts parse the "listening on port
+ * N" line.
  *
  * Crash recovery: with --checkpoint-dir set, fleet-scan campaigns
  * checkpoint under it keyed by request id; after a crash (or kill -9)
@@ -17,15 +18,14 @@
  */
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
-#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "serve/server.hpp"
@@ -59,8 +59,6 @@ printUsage(std::FILE *out)
         "  --max-deadline-ms N  ceiling on client deadlines\n"
         "  --frame-timeout-ms N mid-frame stall timeout\n"
         "  --checkpoint-dir P   campaign checkpoint directory\n"
-        "  --worker             shard-worker mode: exit when stdin "
-        "closes\n"
         "  --verbose            per-request log lines\n");
 }
 
@@ -72,7 +70,7 @@ argsAreKnown(int argc, char **argv)
         "--executors",   "--queue",
         "--deadline-ms", "--max-deadline-ms",
         "--frame-timeout-ms", "--checkpoint-dir"};
-    static const char *kBareFlags[] = {"--verbose", "--worker"};
+    static const char *kBareFlags[] = {"--verbose"};
     for (int i = 1; i < argc; ++i) {
         bool known = false;
         for (const char *flag : kValueFlags) {
@@ -154,9 +152,9 @@ main(int argc, char **argv)
     if (bench::hasFlag(argc, argv, "--verbose")) {
         util::setVerbosity(util::Verbosity::Info);
     }
-    // Chaos harnesses hand workers their deterministic fault schedule
-    // through the environment; a typoed schedule must refuse to start
-    // rather than fake an injection-free green run.
+    // A deterministic fault schedule arrives through PENTIMENTO_FAULTS;
+    // a typoed schedule must refuse to start rather than fake an
+    // injection-free green run.
     const util::Expected<void> armed = util::fault::armFromEnv();
     if (!armed.ok()) {
         std::fprintf(stderr, "campaign_server: %s\n",
@@ -185,24 +183,6 @@ main(int argc, char **argv)
     std::printf("campaign_server listening on port %u\n",
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
-
-    if (bench::hasFlag(argc, argv, "--worker")) {
-        // Shard-worker mode: the supervisor holds our stdin pipe. EOF
-        // means it is gone — exit immediately rather than linger as
-        // an orphan daemon. _Exit, not exit: a shard worker's only
-        // durable state is its checkpoint, already safe on disk, and
-        // a prompt death is exactly what the supervisor's crash
-        // machinery is built to absorb.
-        std::thread([] {
-            char buf[64];
-            for (;;) {
-                const ssize_t n = ::read(0, buf, sizeof(buf));
-                if (n == 0 || (n < 0 && errno != EINTR)) {
-                    std::_Exit(0);
-                }
-            }
-        }).detach();
-    }
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

@@ -13,28 +13,21 @@
  * on real hardware.
  *
  * The campaign engine itself lives in serve/campaign (shared with the
- * campaign server); this binary is the CLI. It runs the scenario in
- * one of two ways:
+ * campaign server); this binary is the CLI. It runs serve::runFleetScan
+ * in-process in golden-compat mode — the exact historical draw
+ * sequence this bench has always produced, locked by the committed
+ * golden CSV. `--workers N` widens the scan phase's pool without
+ * changing a byte of output.
  *
- *  - **In-process** (default): serve::runFleetScan in golden-compat
- *    mode — the exact historical draw sequence this bench has always
- *    produced, locked by the committed golden CSV. Crash-safe
- *    checkpointing (PR 7): `--checkpoint-every N` writes a rotating
- *    two-generation snapshot every N simulated days; `--resume`
- *    continues from the latest good generation; `--halt-at-day D`
- *    exits cleanly after day D (the kill half of the CI
- *    kill-and-resume stress). SIGINT/SIGTERM flush a final checkpoint
- *    at the next day boundary and exit 128+sig.
- *
- *  - **Sharded** (PR 9): `--shards N` partitions the TM2 scan across
- *    N campaign_server worker *processes* under serve/shard's
- *    fault-tolerant supervisor — crashed, killed or wedged workers
- *    are respawned and resume from their per-shard checkpoints, and
- *    the merged CSV is byte-identical to the in-process run
- *    regardless of shard count, worker deaths or retry order.
- *    `--fault-schedule S` arms util/fault's deterministic
- *    fault-injection schedule here and (via the environment) in every
- *    worker.
+ * Crash-safe checkpointing: `--checkpoint-every N` writes a rotating
+ * two-generation snapshot every N simulated days; `--resume` continues
+ * from the latest good generation; `--halt-at-day D` exits cleanly
+ * after day D (the kill half of the CI kill-and-resume stress).
+ * SIGINT/SIGTERM flush a final checkpoint at the next day boundary and
+ * exit 128+sig. A util/fault schedule in PENTIMENTO_FAULTS (e.g.
+ * `seed=7;snapshot.commit.enospc:p=0.5,max=4`) injects failures into
+ * those checkpoint commits; a failed commit is reported and the
+ * campaign continues without it.
  *
  * `--fleet N` and `--years Y` rescale the region and the simulated
  * horizon so the scaling claims are reproducible at other sizes;
@@ -49,14 +42,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "serve/campaign.hpp"
-#include "serve/shard.hpp"
 #include "util/expected.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -132,14 +123,13 @@ printUsage(std::FILE *out)
         "--resume)\n"
         "  --day-sleep-ms N      throttle each simulated day (signal "
         "tests)\n"
-        "  --shards N            fan the scan out across N worker "
-        "processes\n"
-        "  --worker-binary P     campaign_server binary for --shards\n"
-        "  --fault-schedule S    arm a deterministic fault schedule\n"
         "  --bram                run the BRAM content-remanence "
         "channel too\n"
         "  --bram-scrub P        provider scrub policy: none | "
-        "release | rent\n",
+        "release | rent\n"
+        "environment:\n"
+        "  PENTIMENTO_FAULTS     util/fault schedule to arm, e.g. "
+        "'seed=7;snapshot.commit.enospc:p=0.5'\n",
         kDefaultFleet, kDefaultYears,
         static_cast<unsigned long long>(kDefaultSeed),
         kDefaultCheckpointPath);
@@ -157,9 +147,7 @@ argsAreKnown(int argc, char **argv)
         "--fleet",   "--years", "--seed",
         "--workers", "--csv",   "--checkpoint-every",
         "--checkpoint-path",    "--halt-at-day",
-        "--day-sleep-ms",       "--shards",
-        "--worker-binary",      "--fault-schedule",
-        "--bram-scrub"};
+        "--day-sleep-ms",       "--bram-scrub"};
     static const char *kBareFlags[] = {"--journal-stress", "--resume",
                                        "--bram"};
     for (int i = 1; i < argc; ++i) {
@@ -306,7 +294,6 @@ main(int argc, char **argv)
     long checkpoint_every = 0;
     long halt_at_day = 0;
     long day_sleep_ms = 0;
-    long shards = 0;
     std::string checkpoint_path;
     try {
         kFleet = static_cast<std::size_t>(
@@ -322,7 +309,6 @@ main(int argc, char **argv)
             bench::parseLongFlag(argc, argv, "--halt-at-day", 0);
         day_sleep_ms =
             bench::parseLongFlag(argc, argv, "--day-sleep-ms", 0, 0);
-        shards = bench::parseLongFlag(argc, argv, "--shards", 0, 0);
         checkpoint_path = parseStringFlag(
             argc, argv, "--checkpoint-path", kDefaultCheckpointPath);
     } catch (const util::FatalError &error) {
@@ -340,14 +326,6 @@ main(int argc, char **argv)
     const bool journal_stress =
         bench::hasFlag(argc, argv, "--journal-stress");
     const bool resume = bench::hasFlag(argc, argv, "--resume");
-    if (shards > 0 && (journal_stress || resume || halt_at_day > 0)) {
-        std::fprintf(stderr,
-                     "fleet_campaign: --shards cannot be combined "
-                     "with --journal-stress/--resume/--halt-at-day "
-                     "(workers checkpoint and resume on their own)\n");
-        printUsage(stderr);
-        return 2;
-    }
     const bool bram = bench::hasFlag(argc, argv, "--bram");
     const std::string bram_scrub_name =
         parseStringFlag(argc, argv, "--bram-scrub", "none");
@@ -364,25 +342,6 @@ main(int argc, char **argv)
         printUsage(stderr);
         return 2;
     }
-    if (shards > 0 &&
-        (bram || bram_scrub != cloud::BramScrubPolicy::None)) {
-        // The per-board BRAM readouts are local-run bookkeeping, not
-        // part of the worker wire protocol, so a sharded run could
-        // not merge them.
-        std::fprintf(stderr,
-                     "fleet_campaign: --shards cannot be combined "
-                     "with --bram/--bram-scrub\n");
-        printUsage(stderr);
-        return 2;
-    }
-    const char *fault_schedule =
-        parseStringFlag(argc, argv, "--fault-schedule", "");
-    if (fault_schedule[0] != '\0') {
-        // Through the environment so spawned shard workers inherit
-        // the same schedule (each point draws from its own stream, so
-        // sharing the spec is safe).
-        ::setenv("PENTIMENTO_FAULTS", fault_schedule, 1);
-    }
     const util::Expected<void> armed = util::fault::armFromEnv();
     if (!armed.ok()) {
         std::fprintf(stderr, "fleet_campaign: %s\n",
@@ -395,64 +354,6 @@ main(int argc, char **argv)
                 kFleet, kDays, kMaxMeasured);
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // ---- sharded: supervisor over campaign_server workers ---------
-    if (shards > 0) {
-        std::string worker_binary =
-            parseStringFlag(argc, argv, "--worker-binary", "");
-        if (worker_binary.empty()) {
-            const std::string self = argv[0];
-            const std::size_t slash = self.rfind('/');
-            worker_binary =
-                slash == std::string::npos
-                    ? std::string("./campaign_server")
-                    : self.substr(0, slash + 1) + "campaign_server";
-        }
-        serve::ShardSupervisorConfig supervisor;
-        supervisor.worker_binary = std::move(worker_binary);
-        supervisor.checkpoint_dir = checkpoint_path + ".shards";
-        supervisor.shard_count = static_cast<std::uint32_t>(shards);
-        supervisor.backoff_seed = seed;
-        supervisor.request.kind = serve::RequestKind::FleetScan;
-        supervisor.request.seed = seed;
-        supervisor.request.deadline_ms = 300000;
-        supervisor.request.flags = serve::kFlagGoldenCampaign;
-        supervisor.request.fleet = static_cast<std::uint32_t>(kFleet);
-        supervisor.request.days = static_cast<std::uint32_t>(kDays);
-        supervisor.request.scan_routes_per_tenant =
-            static_cast<std::uint32_t>(kRoutesPerTenant);
-        supervisor.request.max_measured =
-            static_cast<std::uint32_t>(kMaxMeasured);
-        supervisor.request.checkpoint_every_days =
-            static_cast<std::uint32_t>(checkpoint_every);
-        supervisor.request.throttle_ms_per_day =
-            static_cast<std::uint32_t>(day_sleep_ms);
-
-        const util::Expected<serve::ShardedScanResult> run =
-            serve::runShardedFleetScan(supervisor);
-        if (!run.ok()) {
-            std::fprintf(stderr, "fleet_campaign: %s\n",
-                         run.error().c_str());
-            return 1;
-        }
-        std::uint32_t attempts = 0;
-        std::uint32_t spawned = 0;
-        for (const serve::ShardOutcome &shard : run.value().shards) {
-            attempts += shard.attempts;
-            spawned += shard.workers_spawned;
-        }
-        std::printf("  shards                %zu workers (%u attempts, "
-                    "%u processes spawned)\n",
-                    run.value().shards.size(), attempts, spawned);
-        const double wall_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        printSummary(run.value().merged, kFleet, false, wall_s, argc,
-                     argv);
-        return 0;
-    }
-
-    // ---- in-process: the engine in golden-compat mode -------------
     serve::FleetScanConfig config;
     config.fleet = kFleet;
     config.days = kDays;

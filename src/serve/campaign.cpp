@@ -1,6 +1,5 @@
 #include "serve/campaign.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -190,8 +189,6 @@ saveCheckpoint(const CampaignState &state,
     writer.u8(config.journal_stress ? 1 : 0);
     writer.u8(config.bram_channel ? 1 : 0);
     writer.u8(static_cast<std::uint8_t>(config.bram_scrub));
-    writer.u32(config.shard_index);
-    writer.u32(config.shard_count);
     writer.endChunk();
 
     state.platform->saveState(writer);
@@ -253,8 +250,6 @@ restoreCampaignFrom(const std::string &path,
     const bool saved_stress = reader.u8() != 0;
     const bool saved_bram = reader.u8() != 0;
     const std::uint8_t saved_scrub = reader.u8();
-    const std::uint32_t saved_shard_index = reader.u32();
-    const std::uint32_t saved_shard_count = reader.u32();
     if (!reader.leaveChunk()) {
         return util::unexpected(reader.error());
     }
@@ -265,9 +260,7 @@ restoreCampaignFrom(const std::string &path,
         saved_golden != config.golden_compat ||
         saved_stress != config.journal_stress ||
         saved_bram != config.bram_channel ||
-        saved_scrub != static_cast<std::uint8_t>(config.bram_scrub) ||
-        saved_shard_index != config.shard_index ||
-        saved_shard_count != config.shard_count) {
+        saved_scrub != static_cast<std::uint8_t>(config.bram_scrub)) {
         return util::unexpected(
             "checkpoint was written by a different campaign "
             "(config skew)");
@@ -476,11 +469,6 @@ runFleetScan(const FleetScanConfig &config)
     if (config.fleet == 0 || config.days <= 0 ||
         config.routes_per_tenant == 0) {
         return util::unexpected("fleet scan: empty scenario");
-    }
-    if (config.shard_count == 0 ? config.shard_index != 0
-                                : config.shard_index >=
-                                      config.shard_count) {
-        return util::unexpected("fleet scan: shard_index out of range");
     }
     const bool checkpointing = !config.checkpoint_path.empty();
 
@@ -702,9 +690,7 @@ runFleetScan(const FleetScanConfig &config)
     // the board half-scanned with no valid checkpoint boundary.
     //
     // Acquire first, attack later: releasing mid-scan would hand the
-    // LIFO scheduler the same board straight back. Every shard runs
-    // this acquisition loop identically — the target list and its
-    // order are a pure function of the (identical) simulation phase.
+    // LIFO scheduler the same board straight back.
     std::vector<std::pair<std::string, const Tenancy *>> scan_targets;
     std::vector<std::string> skipped;
     while (scan_targets.size() < config.max_measured) {
@@ -728,36 +714,11 @@ runFleetScan(const FleetScanConfig &config)
     }
     result.skipped = skipped.size();
 
-    // Shard slice of the target list. Each attack advances the global
-    // clock by exactly kRecoveryHours + kMeasureSettleHours (one
-    // settle after the takeover sweep, then 25 × [park for
-    // 1−settle, settle+sweep]); all of its draws come from the
-    // attacked board's own per-instance rng. So an out-of-shard
-    // attack is replaced by that exact time advance: every board this
-    // shard does attack sees the identical global clock and identical
-    // private draw stream as in an unsharded run (partition
-    // invariance of advanceHours makes the coarser step exact).
-    std::size_t begin = 0;
-    std::size_t end = scan_targets.size();
-    if (config.shard_count > 0) {
-        const std::size_t per =
-            (scan_targets.size() + config.shard_count - 1) /
-            config.shard_count;
-        begin = std::min(scan_targets.size(),
-                         static_cast<std::size_t>(config.shard_index) *
-                             per);
-        end = std::min(scan_targets.size(), begin + per);
-    }
-    for (std::size_t k = 0; k < end; ++k) {
-        if (k < begin) {
-            platform.advanceHours(kRecoveryHours +
-                                  core::kMeasureSettleHours);
-            continue;
-        }
+    for (const auto &[board, tenancy] : scan_targets) {
         FleetScanBramScore bram;
-        result.boards.push_back(attackBoard(
-            platform, scan_targets[k].first, *scan_targets[k].second,
-            config.pool, config.bram_channel ? &bram : nullptr));
+        result.boards.push_back(
+            attackBoard(platform, board, *tenancy, config.pool,
+                        config.bram_channel ? &bram : nullptr));
         if (config.bram_channel) {
             result.bram_boards.push_back(std::move(bram));
         }

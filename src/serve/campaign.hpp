@@ -95,17 +95,6 @@ struct FleetScanConfig
     cloud::BramScrubPolicy bram_scrub = cloud::BramScrubPolicy::None;
     /** Checkpoint and return after this completed day (0 = run out). */
     int halt_at_day = 0;
-    /**
-     * Board-range shard of the TM2 scan phase. The simulation phase
-     * (cheap) runs identically everywhere; only targets
-     * [shard_index·per, (shard_index+1)·per) of the deterministic
-     * scan-target list are attacked, with every other attack replaced
-     * by the exact time advance it would have caused. Concatenating
-     * shard results in shard order is byte-identical to an unsharded
-     * run. shard_count == 0 means unsharded.
-     */
-    std::uint32_t shard_index = 0;
-    std::uint32_t shard_count = 0;
     /** Scan-phase work pool (nullptr = serial). */
     util::ThreadPool *pool = nullptr;
     /**

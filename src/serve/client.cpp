@@ -65,8 +65,8 @@ util::Expected<void>
 ClientConnection::connect(std::uint16_t port)
 {
     close();
-    // CLOEXEC: the shard supervisor forks workers while client
-    // connections are live; their fds must not leak into children.
+    // CLOEXEC: a host program that forks or execs while connections
+    // are live must not leak the socket into its children.
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0) {
         return util::unexpected(std::string("socket: ") +

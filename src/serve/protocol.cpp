@@ -196,8 +196,6 @@ decodeRequest(const std::vector<std::uint8_t> &payload, Request *out)
         out->max_measured = reader.u32();
         out->checkpoint_every_days = reader.u32();
         out->throttle_ms_per_day = reader.u32();
-        out->shard_index = reader.u32();
-        out->shard_count = reader.u32();
         if (!reader.ok()) {
             break;
         }
@@ -219,13 +217,6 @@ decodeRequest(const std::vector<std::uint8_t> &payload, Request *out)
         }
         if (out->throttle_ms_per_day > kMaxThrottleMs) {
             return invalid(id, "throttle_ms_per_day out of range");
-        }
-        if (out->shard_count > kMaxShards) {
-            return invalid(id, "shard_count out of range");
-        }
-        if (out->shard_count == 0 ? out->shard_index != 0
-                                  : out->shard_index >= out->shard_count) {
-            return invalid(id, "shard_index out of range");
         }
         break;
       }
@@ -290,8 +281,6 @@ encodeRequest(const Request &request)
         w.u32(request.max_measured);
         w.u32(request.checkpoint_every_days);
         w.u32(request.throttle_ms_per_day);
-        w.u32(request.shard_index);
-        w.u32(request.shard_count);
         break;
     }
     return w.take();
@@ -368,47 +357,6 @@ encodeFleetScanResult(std::uint64_t request_id,
         w.f64(score.accuracy);
     }
     return w.take();
-}
-
-util::Expected<FleetScanResult>
-decodeFleetScanResult(const std::vector<std::uint8_t> &payload,
-                      std::uint64_t *request_id)
-{
-    WireReader reader(payload.data(), payload.size());
-    *request_id = reader.u64();
-    const std::uint8_t kind = reader.u8();
-    FleetScanResult result;
-    result.tenancies = reader.u64();
-    result.simulated_h = reader.f64();
-    result.skipped = reader.u64();
-    const std::uint32_t count = reader.u32();
-    if (!reader.ok()) {
-        return util::unexpected("fleet-scan result: " + reader.error());
-    }
-    if (kind != static_cast<std::uint8_t>(RequestKind::FleetScan)) {
-        return util::unexpected("fleet-scan result: wrong kind");
-    }
-    if (count > kMaxFleet) {
-        return util::unexpected("fleet-scan result: board count "
-                                "out of range");
-    }
-    result.boards.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        FleetScanBoardScore score;
-        score.board = reader.str();
-        score.bits = reader.u64();
-        score.correct = reader.u64();
-        score.accuracy = reader.f64();
-        if (!reader.ok()) {
-            return util::unexpected("fleet-scan result: " +
-                                    reader.error());
-        }
-        result.boards.push_back(std::move(score));
-    }
-    if (!reader.atEnd()) {
-        return util::unexpected("fleet-scan result: trailing bytes");
-    }
-    return result;
 }
 
 std::vector<std::uint8_t>

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign-server wire protocol v1.
+ * Campaign-server wire protocol v2.
  *
  * Transport: length-prefixed, checksummed frames over a byte stream.
  *
@@ -42,11 +42,12 @@
 
 namespace pentimento::serve {
 
-/** Protocol version carried inside every request payload. */
-inline constexpr std::uint32_t kProtocolVersion = 1;
-
-/** Ceiling on FleetScan shard_count (supervisor and wire cap). */
-inline constexpr std::uint32_t kMaxShards = 64;
+/**
+ * Protocol version carried inside every request payload. v2 dropped
+ * the two trailing u32 words v1 carried in every FleetScan body; a v1
+ * payload is answered Unsupported rather than misread.
+ */
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /** Frame magic: "PCS1". */
 inline constexpr std::uint32_t kFrameMagic =
@@ -88,7 +89,7 @@ enum class ErrorCode : std::uint32_t
 inline constexpr std::uint32_t kFlagStreamSweeps = 1u << 0;
 /** FleetScan: run in golden-compat mode — the exact draw sequence of
  *  bench/fleet_campaign (its fixed driver seed and design naming), so
- *  shard workers reproduce the committed golden CSV byte-for-byte. */
+ *  a served scan reproduces the committed golden CSV byte-for-byte. */
 inline constexpr std::uint32_t kFlagGoldenCampaign = 1u << 1;
 
 // ----------------------------------------------------------- requests
@@ -136,10 +137,6 @@ struct Request
     std::uint32_t checkpoint_every_days = 0;
     /** Testing aid: sleep this long per simulated day (capped). */
     std::uint32_t throttle_ms_per_day = 0;
-    /** Board-range shard of the scan: this worker's index. */
-    std::uint32_t shard_index = 0;
-    /** Total shards (0 = unsharded, run the whole scan). */
-    std::uint32_t shard_count = 0;
 
     bool streamSweeps() const { return (flags & kFlagStreamSweeps) != 0; }
     bool goldenCampaign() const
@@ -240,14 +237,6 @@ std::vector<std::uint8_t> encodeChurnResult(
 /** RESULT payload for FleetScan. */
 std::vector<std::uint8_t> encodeFleetScanResult(
     std::uint64_t request_id, const FleetScanResult &result);
-
-/**
- * Decode a FleetScan RESULT payload (supervisor side). Returns the
- * echoed request id via *request_id; nullopt-style error string on
- * malformed bytes.
- */
-util::Expected<FleetScanResult> decodeFleetScanResult(
-    const std::vector<std::uint8_t> &payload, std::uint64_t *request_id);
 
 /** SWEEP payload: raw (uncentered) per-route ∆ps of one sweep. */
 std::vector<std::uint8_t> encodeSweep(std::uint64_t request_id,

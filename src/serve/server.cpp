@@ -537,8 +537,6 @@ CampaignServer::process(const Job &job)
                 campaignCheckpointPath(request.request_id);
             config.throttle_ms_per_day = request.throttle_ms_per_day;
             config.golden_compat = request.goldenCampaign();
-            config.shard_index = request.shard_index;
-            config.shard_count = request.shard_count;
             config.pool = pool_.get();
             config.observer = &observer;
             const util::Expected<FleetScanResult> result =

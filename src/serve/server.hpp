@@ -2,7 +2,7 @@
  * @file
  * CampaignServer: the long-running TCP front end of the simulator.
  *
- * Accepts protocol-v1 frames (serve/protocol.hpp) on a loopback/TCP
+ * Accepts protocol-v2 frames (serve/protocol.hpp) on a loopback/TCP
  * socket and multiplexes the pure entry points — runExperiment1/2/3,
  * runTenancyChurn, and the checkpointed fleet scan — over a bounded
  * executor pool sharing one util::ThreadPool. The robustness

@@ -3,7 +3,7 @@
  * Deterministic, schedule-driven fault injection.
  *
  * Robustness code is only as good as the failures it has actually
- * seen. This registry lets tests and chaos harnesses *schedule*
+ * seen. This registry lets tests and CLI runs *schedule*
  * failures at named injection points — `snapshot.commit.short_write`,
  * `client.recv.stall`, … — instead of hoping CI gets unlucky. A
  * schedule is a single string:
@@ -17,7 +17,7 @@
  * pure function of (schedule seed, point name, evaluation ordinal) —
  * independent of how evaluations at *other* points interleave across
  * threads. Same seed ⇒ same injected-fault sequence, in every process
- * that arms the same schedule (workers inherit it via the
+ * that arms the same schedule (the bench binaries arm it from the
  * PENTIMENTO_FAULTS environment variable).
  *
  * Injection points call `shouldFail("name")`; when nothing is armed
@@ -61,7 +61,7 @@ struct Schedule
     std::vector<PointConfig> points;
 };
 
-/** Observed counters for one armed point (tests, chaos reports). */
+/** Observed counters for one armed point (tests, reports). */
 struct PointStats
 {
     std::string point;
@@ -71,7 +71,7 @@ struct PointStats
 
 /**
  * Parse the `seed=N;point:k=v,...` grammar. Unknown keys, malformed
- * numbers, and empty point names are errors — a typoed chaos schedule
+ * numbers, and empty point names are errors — a typoed schedule
  * silently arming nothing would fake a green run.
  */
 Expected<Schedule> parseSchedule(std::string_view text);

@@ -2,12 +2,12 @@
  * @file
  * util/fault: schedule grammar, determinism, and arming semantics.
  *
- * The injection registry underpins every chaos battery in the repo, so
- * its contract is locked here in isolation: the `seed=N;point:k=v`
- * grammar rejects every malformed schedule loudly (a typo silently
- * arming nothing would fake a green chaos run), and the fire sequence
- * at a point is a pure function of (schedule seed, point name,
- * evaluation ordinal) — re-arming replays it, and evaluations at
+ * The injection registry underpins every fault-injected test in the
+ * repo, so its contract is locked here in isolation: the
+ * `seed=N;point:k=v` grammar rejects every malformed schedule loudly (a
+ * typo silently arming nothing would fake a green run), and the fire
+ * sequence at a point is a pure function of (schedule seed, point
+ * name, evaluation ordinal) — re-arming replays it, and evaluations at
  * *other* points never perturb it.
  */
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -25,6 +26,8 @@
 #include "serve/wire.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
+#include "util/snapshot.hpp"
 
 namespace {
 
@@ -314,6 +317,22 @@ TEST(Protocol, UnknownVersionKindAndFlagsAreUnsupported)
                                  &decoded);
     ASSERT_TRUE(error.has_value());
     EXPECT_EQ(error->code, ErrorCode::Unsupported);
+
+    // A version-1 FleetScan body carried two more trailing u32 words.
+    // Such a payload is refused on its version before the body is
+    // parsed: Unsupported, never Malformed (trailing bytes), and never
+    // decoded as a current-layout request.
+    ASSERT_NE(serve::kProtocolVersion, 1u);
+    payload = serve::encodeRequest(smallFleetScanRequest(12, 1));
+    payload[0] = 1;
+    payload[1] = payload[2] = payload[3] = 0;
+    payload.insert(payload.end(), 8, 0);
+    decoded = Request{};
+    error = serve::decodeRequest(payload, &decoded);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, ErrorCode::Unsupported);
+    EXPECT_EQ(error->request_id, 12u);
+    EXPECT_EQ(decoded.fleet, 0u);
 }
 
 TEST(Protocol, CapViolationsAreInvalidArgument)
@@ -348,6 +367,35 @@ TEST(Protocol, ZeroRequestIdIsRejected)
         serve::encodeRequest(pingRequest(0)), &decoded);
     ASSERT_TRUE(error.has_value());
     EXPECT_EQ(error->code, ErrorCode::InvalidArgument);
+}
+
+// --------------------------------------------------- client backoff
+
+TEST(ClientBackoff, HonorsServerHintFloorAndCap)
+{
+    serve::ClientConfig config;
+    config.backoff_base_ms = 25;
+    config.backoff_cap_ms = 400;
+    config.jitter_seed = 7;
+
+    for (std::uint32_t attempt = 0; attempt < 8; ++attempt) {
+        for (const std::uint32_t hint : {0u, 10u, 300u, 5000u}) {
+            const std::uint32_t a =
+                serve::retryDelayMs(config, attempt, hint);
+            EXPECT_EQ(a, serve::retryDelayMs(config, attempt, hint));
+            const std::uint32_t backoff = std::min<std::uint32_t>(
+                400, 25u << std::min(attempt, 20u));
+            const std::uint32_t floor = std::max(hint, backoff);
+            EXPECT_GE(a, floor / 2)
+                << "attempt " << attempt << " hint " << hint;
+            EXPECT_LE(a, floor)
+                << "attempt " << attempt << " hint " << hint;
+            // A server hint above the local backoff must dominate.
+            if (hint >= backoff) {
+                EXPECT_GE(a, hint / 2);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------- logging
@@ -943,6 +991,93 @@ TEST_F(ServeTest, StreamedSweepsArriveBeforeTheResult)
     EXPECT_EQ(reader.u64(), 4u); // result agrees on the sweep count
 }
 
+#if defined(PENTIMENTO_FAULT_INJECTION)
+
+// ------------------------------------------- injected transport faults
+
+/** Arms a fault schedule for one scope; disarms however it exits. */
+class FaultScope
+{
+  public:
+    explicit FaultScope(const char *schedule)
+    {
+        const util::Expected<util::fault::Schedule> parsed =
+            util::fault::parseSchedule(schedule);
+        EXPECT_TRUE(parsed.ok()) << parsed.error();
+        if (parsed.ok()) {
+            util::fault::arm(parsed.value());
+        }
+    }
+    ~FaultScope() { util::fault::disarm(); }
+    FaultScope(const FaultScope &) = delete;
+    FaultScope &operator=(const FaultScope &) = delete;
+
+    /** Counters so far at `point` (zeroes when it is not armed). */
+    static util::fault::PointStats
+    stats(const std::string &point)
+    {
+        for (const util::fault::PointStats &s : util::fault::stats()) {
+            if (s.point == point) {
+                return s;
+            }
+        }
+        return {point, 0, 0};
+    }
+};
+
+/**
+ * Under one scheduled transport fault, the first FleetScan call fails
+ * with a transport error; a fresh connection resubmitting the identical
+ * request gets RESULT bytes equal to the in-process engine's encoding.
+ */
+void
+expectResubmitRecovers(std::uint16_t port, const char *point)
+{
+    const Request request = smallFleetScanRequest(61, 23);
+    serve::FleetScanConfig direct;
+    direct.fleet = request.fleet;
+    direct.days = static_cast<int>(request.days);
+    direct.seed = request.seed;
+    direct.routes_per_tenant = request.scan_routes_per_tenant;
+    direct.max_measured = request.max_measured;
+    const util::Expected<serve::FleetScanResult> reference =
+        serve::runFleetScan(direct);
+    ASSERT_TRUE(reference.ok()) << reference.error();
+
+    const FaultScope faults(
+        (std::string("seed=5;") + point + ":max=1").c_str());
+    serve::ClientConnection first;
+    ASSERT_TRUE(first.connect(port).ok());
+    const util::Expected<Frame> failed =
+        first.call(request, serve::ClientConfig{}, 60000);
+    EXPECT_FALSE(failed.ok()) << "the injected fault did not surface";
+    EXPECT_EQ(FaultScope::stats(point).fires, 1u);
+
+    serve::ClientConnection second;
+    ASSERT_TRUE(second.connect(port).ok());
+    const util::Expected<Frame> reply =
+        second.call(request, serve::ClientConfig{}, 60000);
+    ASSERT_TRUE(reply.ok()) << reply.error();
+    ASSERT_EQ(reply.value().type, FrameType::Result);
+    EXPECT_EQ(reply.value().payload,
+              serve::encodeFleetScanResult(request.request_id,
+                                           reference.value()));
+}
+
+TEST_F(ServeTest, ServerSendResetThenResubmitIsByteIdentical)
+{
+    auto server = startServer(baseConfig());
+    expectResubmitRecovers(server->port(), "server.send.reset");
+}
+
+TEST_F(ServeTest, ClientSendResetThenResubmitIsByteIdentical)
+{
+    auto server = startServer(baseConfig());
+    expectResubmitRecovers(server->port(), "client.send.reset");
+}
+
+#endif // PENTIMENTO_FAULT_INJECTION
+
 // ----------------------------------------- checkpoint/resume engine
 
 class FleetScanResumeTest : public ::testing::Test
@@ -1075,6 +1210,32 @@ TEST_F(FleetScanResumeTest, BitRottenPrimaryResumesFromPrevGeneration)
               reference);
 }
 
+TEST_F(FleetScanResumeTest, FailedCommitsContinueWithoutTheCheckpoint)
+{
+    const util::Expected<serve::FleetScanResult> straight =
+        serve::runFleetScan(scanConfig());
+    ASSERT_TRUE(straight.ok()) << straight.error();
+
+    // Five commits (days 5..25) against a disk that fills up about half
+    // the time: the failed ones are reported and skipped, and the
+    // campaign's result must not notice.
+    const FaultScope faults("seed=4;snapshot.commit.enospc:p=0.5,max=4");
+    serve::FleetScanConfig config = scanConfig();
+    config.checkpoint_every_days = 5;
+    config.checkpoint_path = dir_ + "/scan.ckpt";
+    const util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(config);
+    ASSERT_TRUE(result.ok()) << result.error();
+    // Both paths ran: some commits failed, some landed.
+    const util::fault::PointStats enospc =
+        FaultScope::stats("snapshot.commit.enospc");
+    EXPECT_EQ(enospc.evaluations, 5u);
+    EXPECT_GE(enospc.fires, 1u);
+    EXPECT_LT(enospc.fires, enospc.evaluations);
+    EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+              serve::encodeFleetScanResult(1, straight.value()));
+}
+
 #endif // PENTIMENTO_FAULT_INJECTION
 
 TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
@@ -1124,6 +1285,79 @@ TEST_F(FleetScanResumeTest, ConfigSkewIgnoresTheCheckpoint)
     ASSERT_TRUE(direct.ok()) << direct.error();
     EXPECT_EQ(serve::encodeFleetScanResult(1, via_ckpt.value()),
               serve::encodeFleetScanResult(1, direct.value()));
+}
+
+TEST_F(FleetScanResumeTest, PreviousBuildConfigLayoutIsNeverResumed)
+{
+    // A checkpoint from the previous build: its config chunk carried
+    // two more u32 words after the BRAM scrub policy. The rest is a
+    // well-formed image for this very config (a fresh platform, day
+    // cursor 5, empty ledger), so only the layout tells it apart.
+    const serve::FleetScanConfig config = scanConfig();
+    const std::string path = dir_ + "/scan.ckpt";
+    {
+        util::SnapshotWriter writer;
+        writer.beginChunk(util::snapshotTag('S', 'C', 'F', '!'));
+        writer.u64(config.fleet);
+        writer.u64(static_cast<std::uint64_t>(config.days));
+        writer.u64(config.seed);
+        writer.u64(config.routes_per_tenant);
+        writer.u64(config.max_measured);
+        writer.u8(config.golden_compat ? 1 : 0);
+        writer.u8(config.journal_stress ? 1 : 0);
+        writer.u8(config.bram_channel ? 1 : 0);
+        writer.u8(static_cast<std::uint8_t>(config.bram_scrub));
+        writer.u32(0);
+        writer.u32(0);
+        writer.endChunk();
+
+        cloud::PlatformConfig platform_config;
+        platform_config.fleet_size = config.fleet;
+        platform_config.region = "fleet-sim";
+        platform_config.policy =
+            cloud::AllocationPolicy::MostRecentlyReleased;
+        platform_config.seed = config.seed;
+        platform_config.bram_scrub = config.bram_scrub;
+        cloud::CloudPlatform(platform_config).saveState(writer);
+
+        writer.beginChunk(util::snapshotTag('S', 'C', 'M', '!'));
+        writer.u64(5); // next day
+        const util::Rng::State rng =
+            util::Rng(config.seed).split("serve_fleet_scan").state();
+        for (const std::uint64_t word : rng.words) {
+            writer.u64(word);
+        }
+        writer.f64(rng.cached);
+        writer.u8(rng.have_cached ? 1 : 0);
+        writer.u64(0); // finished tenancies
+        writer.u64(0); // active tenancies
+        writer.endChunk();
+        ASSERT_TRUE(writer.commit(path).ok());
+    }
+
+    const util::Expected<serve::FleetScanResult> direct =
+        serve::runFleetScan(config);
+    ASSERT_TRUE(direct.ok()) << direct.error();
+
+    // Auto: the stale layout is a fresh run, byte-identical.
+    serve::FleetScanConfig automatic = config;
+    automatic.checkpoint_path = path;
+    const util::Expected<serve::FleetScanResult> fresh =
+        serve::runFleetScan(automatic);
+    ASSERT_TRUE(fresh.ok()) << fresh.error();
+    EXPECT_TRUE(fresh.value().resumed_from.empty());
+    EXPECT_EQ(serve::encodeFleetScanResult(1, fresh.value()),
+              serve::encodeFleetScanResult(1, direct.value()));
+
+    // Require: a recoverable error naming the drift, not an abort.
+    serve::FleetScanConfig required = config;
+    required.checkpoint_path = path;
+    required.resume = serve::ResumeMode::Require;
+    const util::Expected<serve::FleetScanResult> refused =
+        serve::runFleetScan(required);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().find("layout drift"), std::string::npos)
+        << refused.error();
 }
 
 TEST_F(FleetScanResumeTest, ServerResumesAfterRestart)

@@ -447,10 +447,10 @@ TEST(SnapshotFormat, CrashBetweenTempWriteAndRenameIsHarmless)
 
 #if defined(PENTIMENTO_FAULT_INJECTION)
 
-// Failed-commit hygiene, driven through the same injection points the
-// chaos battery schedules: a commit that fails for *any* reason must
-// leave no stale .tmp behind and must not have touched the published
-// generations — .prev still rescues after a torn rename.
+// Failed-commit hygiene, driven through the same injection points a
+// PENTIMENTO_FAULTS schedule arms: a commit that fails for *any*
+// reason must leave no stale .tmp behind and must not have touched the
+// published generations — .prev still rescues after a torn rename.
 TEST(SnapshotFormat, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
 {
     const std::string path = tempPath("snap_fault.bin");
