@@ -392,12 +392,13 @@ BM_CheckpointSaveRestore(benchmark::State &state)
     for (auto _ : state) {
         util::SnapshotWriter writer;
         platform.saveState(writer);
-        std::vector<std::uint8_t> image = writer.finish();
+        const std::vector<std::uint8_t> &image = writer.finish();
         image_bytes = image.size();
 
+        // The reader owns its image, so it takes a copy here, as
+        // loading the file would.
         cloud::CloudPlatform restored(config);
-        auto reader =
-            util::SnapshotReader::fromBuffer(std::move(image));
+        auto reader = util::SnapshotReader::fromBuffer(image);
         if (!reader.ok() ||
             !restored.restoreState(reader.value()).ok()) {
             state.SkipWithError("checkpoint round trip failed");
@@ -405,10 +406,29 @@ BM_CheckpointSaveRestore(benchmark::State &state)
         }
         benchmark::DoNotOptimize(restored.nowHours());
     }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(image_bytes));
     state.SetLabel(std::to_string(state.range(0)) + " boards, " +
                    std::to_string(image_bytes / 1024) + " KiB image");
 }
 BENCHMARK(BM_CheckpointSaveRestore)->Arg(16)->Arg(112);
+
+void
+BM_Crc32c(benchmark::State &state)
+{
+    // The checksum every snapshot chunk and server frame pays, over a
+    // buffer the size of a campaign checkpoint image.
+    std::vector<std::uint8_t> buffer(static_cast<std::size_t>(state.range(0)));
+    util::Rng rng(31);
+    for (std::uint8_t &b : buffer) {
+        b = static_cast<std::uint8_t>(rng());
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(util::crc32c(buffer.data(), buffer.size()));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4194304);
 
 void
 BM_ThreadPoolOverhead(benchmark::State &state)

@@ -211,11 +211,9 @@ ActivityJournal::saveState(util::SnapshotWriter &writer) const
         saveRun(writer, node.run.from, node.run.kind, node.run.duty_one);
         writer.u32(node.next);
     }
-    std::uint64_t occupied = 0;
-    for (const Slot &slot : slots_) {
-        occupied += slot.count != 0 ? 1 : 0;
-    }
-    writer.u64(occupied);
+    // Keys are never erased (a consumed key becomes kSpent), so the
+    // occupied-slot count written here is always used_.
+    writer.u64(used_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const Slot &slot = slots_[i];
         if (slot.count == 0) {
@@ -290,6 +288,11 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
     const std::uint64_t occupied = reader.u64();
     if (reader.ok() && occupied > table_size) {
         reader.fail("snapshot: journal occupancy exceeds table size");
+    }
+    // A used count below occupancy would fill the probe table past its
+    // load factor, and probe() never ends on a full table.
+    if (reader.ok() && occupied != used) {
+        reader.fail("snapshot: journal occupancy/used mismatch");
     }
     if (!reader.ok()) {
         return false;

@@ -1,10 +1,16 @@
 #include "util/snapshot.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -39,6 +45,39 @@ struct Crc32cTable
     }
 };
 
+#if defined(__x86_64__)
+/**
+ * The SSE4.2 `crc32` instruction computes the same reflected
+ * Castagnoli CRC as the table, 8 bytes per step. `crc` is the raw
+ * (already inverted) register, as in the table loop.
+ */
+__attribute__((target("sse4.2"))) std::uint32_t
+crc32cSse42(const unsigned char *bytes, std::size_t len, std::uint32_t crc)
+{
+    std::uint64_t wide = crc;
+    for (; len >= 8; bytes += 8, len -= 8) {
+        std::uint64_t word;
+        std::memcpy(&word, bytes, sizeof(word));
+        wide = _mm_crc32_u64(wide, word);
+    }
+    crc = static_cast<std::uint32_t>(wide);
+    for (; len > 0; ++bytes, --len) {
+        crc = _mm_crc32_u8(crc, *bytes);
+    }
+    return crc;
+}
+
+bool
+cpuHasSse42()
+{
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sse4.2") != 0;
+    }();
+    return has;
+}
+#endif
+
 std::string
 errnoMessage(const std::string &what, const std::string &path)
 {
@@ -48,7 +87,7 @@ errnoMessage(const std::string &what, const std::string &path)
 } // namespace
 
 std::uint32_t
-crc32c(const void *data, std::size_t len, std::uint32_t seed)
+crc32cPortable(const void *data, std::size_t len, std::uint32_t seed)
 {
     static const Crc32cTable table;
     const auto *bytes = static_cast<const unsigned char *>(data);
@@ -59,15 +98,33 @@ crc32c(const void *data, std::size_t len, std::uint32_t seed)
     return ~crc;
 }
 
+std::uint32_t
+crc32c(const void *data, std::size_t len, std::uint32_t seed)
+{
+#if defined(__x86_64__)
+    if (cpuHasSse42()) {
+        return ~crc32cSse42(static_cast<const unsigned char *>(data), len,
+                            ~seed);
+    }
+#endif
+    return crc32cPortable(data, len, seed);
+}
+
 SnapshotWriter::SnapshotWriter()
 {
-    out_.insert(out_.end(), kMagic, kMagic + sizeof(kMagic));
-    const std::uint32_t version = kSnapshotVersion;
-    const std::uint32_t flags = 0;
-    const auto *v = reinterpret_cast<const std::uint8_t *>(&version);
-    const auto *f = reinterpret_cast<const std::uint8_t *>(&flags);
-    out_.insert(out_.end(), v, v + 4);
-    out_.insert(out_.end(), f, f + 4);
+    put(kMagic, sizeof(kMagic));
+    u32(kSnapshotVersion);
+    u32(0); // reserved flags
+}
+
+void
+SnapshotWriter::grow(std::size_t len)
+{
+    // Open at least 64 KiB more writable window. resize() still grows
+    // the capacity geometrically, but it zero-fills only the window,
+    // so pages past the image are never touched (or counted in RSS).
+    constexpr std::size_t kWindowBytes = 64 * 1024;
+    out_.resize(len_ + std::max(len, kWindowBytes));
 }
 
 void
@@ -76,7 +133,7 @@ SnapshotWriter::beginChunk(std::uint32_t tag)
     if (chunk_start_ != 0 || finished_) {
         panic("SnapshotWriter::beginChunk: chunk already open or finished");
     }
-    chunk_start_ = out_.size();
+    chunk_start_ = len_;
     u32(tag);
     u32(chunk_count_);
     u64(0); // payload length, patched by endChunk()
@@ -88,52 +145,23 @@ SnapshotWriter::endChunk()
     if (chunk_start_ == 0) {
         panic("SnapshotWriter::endChunk: no open chunk");
     }
-    const std::uint64_t payload_len =
-        out_.size() - chunk_start_ - kChunkHeaderBytes;
+    const std::uint64_t payload_len = len_ - chunk_start_ - kChunkHeaderBytes;
     std::memcpy(out_.data() + chunk_start_ + 8, &payload_len,
                 sizeof(payload_len));
     const std::uint32_t crc =
-        crc32c(out_.data() + chunk_start_, out_.size() - chunk_start_);
+        crc32c(out_.data() + chunk_start_, len_ - chunk_start_);
     chunk_start_ = 0;
     ++chunk_count_;
     u32(crc);
 }
 
 void
-SnapshotWriter::u8(std::uint8_t v)
-{
-    out_.push_back(v);
-}
-
-void
-SnapshotWriter::u32(std::uint32_t v)
-{
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(&v);
-    out_.insert(out_.end(), bytes, bytes + sizeof(v));
-}
-
-void
-SnapshotWriter::u64(std::uint64_t v)
-{
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(&v);
-    out_.insert(out_.end(), bytes, bytes + sizeof(v));
-}
-
-void
-SnapshotWriter::f64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
 SnapshotWriter::str(std::string_view v)
 {
     u64(v.size());
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(v.data());
-    out_.insert(out_.end(), bytes, bytes + v.size());
+    if (!v.empty()) {
+        put(v.data(), v.size());
+    }
 }
 
 const std::vector<std::uint8_t> &
@@ -147,6 +175,7 @@ SnapshotWriter::finish()
         beginChunk(kEndTag);
         u64(preceding);
         endChunk();
+        out_.resize(len_);
         finished_ = true;
     }
     return out_;
@@ -253,16 +282,27 @@ SnapshotReader::open(const std::string &path)
     if (fp == nullptr) {
         return unexpected(errnoMessage("snapshot: cannot open", path));
     }
+    // Size the image once from the file and read it in one call, so
+    // a restore never regrows the buffer.
+    struct stat info{};
     std::vector<std::uint8_t> image;
-    unsigned char buf[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), fp)) > 0) {
-        image.insert(image.end(), buf, buf + got);
+    std::string error;
+    if (fstat(fileno(fp), &info) != 0) {
+        error = errnoMessage("snapshot: read failed for", path);
+    } else {
+        image.resize(static_cast<std::size_t>(info.st_size));
+        const std::size_t got =
+            image.empty() ? 0
+                          : std::fread(image.data(), 1, image.size(), fp);
+        if (std::ferror(fp) != 0) {
+            error = errnoMessage("snapshot: read failed for", path);
+        } else if (got != image.size()) {
+            error = "snapshot: short read from " + path;
+        }
     }
-    const bool read_error = std::ferror(fp) != 0;
     std::fclose(fp);
-    if (read_error) {
-        return unexpected(errnoMessage("snapshot: read failed for", path));
+    if (!error.empty()) {
+        return unexpected(error);
     }
     if (image.size() > kHeaderBytes &&
         fault::shouldFail("snapshot.load.corrupt_crc")) {
@@ -454,55 +494,13 @@ SnapshotReader::expectEnd()
     return ok();
 }
 
-bool
-SnapshotReader::take(void *dst, std::size_t len)
+void
+SnapshotReader::refuse(void *dst, std::size_t len)
 {
-    if (!ok()) {
-        std::memset(dst, 0, len);
-        return false;
-    }
-    if (!in_chunk_ || payload_end_ - cursor_ < len) {
-        std::memset(dst, 0, len);
+    std::memset(dst, 0, len);
+    if (ok()) {
         fail("snapshot: field read past end of chunk payload");
-        return false;
     }
-    std::memcpy(dst, image_.data() + cursor_, len);
-    cursor_ += len;
-    return true;
-}
-
-std::uint8_t
-SnapshotReader::u8()
-{
-    std::uint8_t v = 0;
-    take(&v, sizeof(v));
-    return v;
-}
-
-std::uint32_t
-SnapshotReader::u32()
-{
-    std::uint32_t v = 0;
-    take(&v, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::u64()
-{
-    std::uint64_t v = 0;
-    take(&v, sizeof(v));
-    return v;
-}
-
-double
-SnapshotReader::f64()
-{
-    std::uint64_t bits = 0;
-    take(&bits, sizeof(bits));
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
 }
 
 std::string

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,9 +52,18 @@ snapshotTag(char a, char b, char c, char d)
            static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-/** CRC32C (Castagnoli) of a byte range, chainable via seed. */
+/**
+ * CRC32C (Castagnoli) of a byte range, chainable via seed. Uses the
+ * SSE4.2 `crc32` instruction, 8 bytes per step, when the CPU has it
+ * (checked once at run time) and falls back to crc32cPortable()
+ * otherwise; both give the same value for every input.
+ */
 std::uint32_t crc32c(const void *data, std::size_t len,
                      std::uint32_t seed = 0);
+
+/** Table-driven CRC32C, one byte per step: the path on every host. */
+std::uint32_t crc32cPortable(const void *data, std::size_t len,
+                             std::uint32_t seed = 0);
 
 /**
  * Builds a snapshot image in memory and commits it atomically.
@@ -72,11 +82,11 @@ class SnapshotWriter
     /** Close the open chunk: patch its length, append its CRC. */
     void endChunk();
 
-    void u8(std::uint8_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u8(std::uint8_t v) { put(&v, sizeof(v)); }
+    void u32(std::uint32_t v) { put(&v, sizeof(v)); }
+    void u64(std::uint64_t v) { put(&v, sizeof(v)); }
     /** Doubles are bit-cast, never formatted: restore is bit-exact. */
-    void f64(double v);
+    void f64(double v) { put(&v, sizeof(v)); }
     /** Length-prefixed byte string. */
     void str(std::string_view v);
 
@@ -101,7 +111,23 @@ class SnapshotWriter
     Expected<void> commitRotating(const std::string &path);
 
   private:
+    /** Append raw bytes: one capacity check, one memcpy. */
+    void
+    put(const void *src, std::size_t len)
+    {
+        if (out_.size() - len_ < len) {
+            grow(len);
+        }
+        std::memcpy(out_.data() + len_, src, len);
+        len_ += len;
+    }
+    /** Widen out_'s writable window to fit `len` more bytes. */
+    void grow(std::size_t len);
+
+    // Only the first len_ bytes of out_ are image so far; the rest is
+    // zeroed window for the next put(). finish() trims it to len_.
     std::vector<std::uint8_t> out_;
+    std::size_t len_ = 0;
     std::size_t chunk_start_ = 0; // offset of open chunk's tag; 0 = closed
     std::uint32_t chunk_count_ = 0;
     bool finished_ = false;
@@ -145,10 +171,34 @@ class SnapshotReader
     /** Validate the terminal END chunk and absence of trailing bytes. */
     bool expectEnd();
 
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
-    double f64();
+    std::uint8_t
+    u8()
+    {
+        std::uint8_t v = 0;
+        take(&v, sizeof(v));
+        return v;
+    }
+    std::uint32_t
+    u32()
+    {
+        std::uint32_t v = 0;
+        take(&v, sizeof(v));
+        return v;
+    }
+    std::uint64_t
+    u64()
+    {
+        std::uint64_t v = 0;
+        take(&v, sizeof(v));
+        return v;
+    }
+    double
+    f64()
+    {
+        double v = 0.0;
+        take(&v, sizeof(v));
+        return v;
+    }
     std::string str();
 
     /** Record a (first) error; subsequent reads return zeroes. */
@@ -171,7 +221,19 @@ class SnapshotReader
   private:
     SnapshotReader() = default;
 
-    bool take(void *dst, std::size_t len);
+    /** Copy the next `len` payload bytes, or zero-fill and fail. */
+    void
+    take(void *dst, std::size_t len)
+    {
+        if (in_chunk_ && ok() && payload_end_ - cursor_ >= len) {
+            std::memcpy(dst, image_.data() + cursor_, len);
+            cursor_ += len;
+            return;
+        }
+        refuse(dst, len);
+    }
+    /** take()'s failure path: zero `dst`, record the overrun. */
+    void refuse(void *dst, std::size_t len);
 
     std::vector<std::uint8_t> image_;
     std::size_t cursor_ = 0;      // next unread byte in image_

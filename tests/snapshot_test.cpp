@@ -29,6 +29,7 @@
 
 #include "cloud/platform.hpp"
 #include "core/presets.hpp"
+#include "fabric/activity_journal.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "fabric/route.hpp"
@@ -592,6 +593,80 @@ TEST(SnapshotFormat, InjectedLoadCorruptionFallsBackToPrev)
 
 #endif // PENTIMENTO_FAULT_INJECTION
 
+namespace {
+
+/** Bit-at-a-time CRC32C: the definition, independent of both paths. */
+std::uint32_t
+crc32cBitwise(std::uint32_t crc, std::uint8_t byte)
+{
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+    return crc;
+}
+
+} // namespace
+
+TEST(SnapshotFormat, Crc32cKnownAnswersAndPathsAgree)
+{
+    // RFC 3720 section B.4 test vectors. They pin the on-disk checksum,
+    // so images written before the hardware path still load.
+    const std::string check = "123456789";
+    std::vector<std::uint8_t> zeros(32, 0x00);
+    std::vector<std::uint8_t> ones(32, 0xff);
+    std::vector<std::uint8_t> ascending(32);
+    for (std::size_t i = 0; i < ascending.size(); ++i) {
+        ascending[i] = static_cast<std::uint8_t>(i);
+    }
+    for (const auto crc : {pu::crc32c, pu::crc32cPortable}) {
+        EXPECT_EQ(crc(check.data(), check.size(), 0), 0xE3069283u);
+        EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+        EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+        EXPECT_EQ(crc(ascending.data(), ascending.size(), 0), 0x46DD794Eu);
+        EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+    }
+
+    // Every length 0..4096 at every start offset 0..7 (so the 8-byte
+    // steps meet every alignment and every tail length): the dispatched
+    // path, the table path and the bitwise definition agree.
+    constexpr std::size_t kMaxLen = 4096;
+    pu::Rng rng(0xc3c32c);
+    std::vector<std::uint8_t> buffer(kMaxLen + 8);
+    for (std::uint8_t &b : buffer) {
+        b = static_cast<std::uint8_t>(rng());
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::uint8_t *data = buffer.data() + offset;
+        std::uint32_t reference = ~0u;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            if (len > 0) {
+                reference = crc32cBitwise(reference, data[len - 1]);
+            }
+            const std::uint32_t fast = pu::crc32c(data, len);
+            ASSERT_EQ(fast, ~reference)
+                << "offset " << offset << " length " << len;
+            ASSERT_EQ(pu::crc32cPortable(data, len), fast)
+                << "offset " << offset << " length " << len;
+        }
+    }
+
+    // Chaining through `seed` equals one pass over the concatenation,
+    // on both paths and across every split point of a short range.
+    constexpr std::size_t kChainLen = 77;
+    const std::uint8_t *data = buffer.data() + 3;
+    const std::uint32_t whole = pu::crc32cPortable(data, kChainLen);
+    for (std::size_t split = 0; split <= kChainLen; ++split) {
+        const std::uint32_t fast =
+            pu::crc32c(data + split, kChainLen - split,
+                       pu::crc32c(data, split));
+        const std::uint32_t table = pu::crc32cPortable(
+            data + split, kChainLen - split, pu::crc32cPortable(data, split));
+        EXPECT_EQ(fast, whole) << "split " << split;
+        EXPECT_EQ(table, whole) << "split " << split;
+    }
+}
+
 TEST(SnapshotFormat, ExpectedBasics)
 {
     pu::Expected<int> value = 5;
@@ -793,6 +868,112 @@ TEST(SnapshotDevice, CorruptImageNeverAborts)
         pf::Device target(tinyConfig(9));
         EXPECT_FALSE(restoreDeviceImage(std::move(cut), target).ok())
             << "truncation to " << len;
+    }
+}
+
+namespace {
+
+/** One hand-written journal slot: its table index and run count. */
+struct JournalSlot
+{
+    std::uint64_t index;
+    std::uint32_t count;
+};
+
+constexpr std::uint32_t kJournalSpent = static_cast<std::uint32_t>(-2);
+
+/**
+ * A journal chunk written field by field in ActivityJournal's layout:
+ * table geometry, an empty spill arena, then the occupied slots, each
+ * with two inline Hold1 runs.
+ */
+std::vector<std::uint8_t>
+journalImage(std::uint64_t table_size, std::uint64_t used,
+             std::uint64_t active, const std::vector<JournalSlot> &slots)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kDevTag);
+    writer.u64(table_size);
+    writer.u64(used);
+    writer.u64(active);
+    writer.u32(0); // memoised compaction pin
+    writer.u64(0); // spill arena size
+    writer.u64(slots.size());
+    for (const JournalSlot &slot : slots) {
+        writer.u64(slot.index);
+        writer.u64(1000 + slot.index); // key
+        writer.u32(slot.count);
+        writer.u32(0); // arena head
+        writer.u32(0); // arena tail
+        for (int run = 0; run < 2; ++run) {
+            writer.u32(0);
+            writer.u8(static_cast<std::uint8_t>(pf::Activity::Hold1));
+            writer.f64(0.5);
+        }
+    }
+    writer.endChunk();
+    return writer.finish();
+}
+
+/** Restore `image` into `journal`; returns the reader's status. */
+pu::Expected<void>
+restoreJournalImage(std::vector<std::uint8_t> image,
+                    pf::ActivityJournal &journal)
+{
+    pu::Expected<pu::SnapshotReader> made =
+        pu::SnapshotReader::fromBuffer(std::move(image));
+    if (!made.ok()) {
+        return pu::unexpected(made.error());
+    }
+    pu::SnapshotReader &reader = made.value();
+    if (reader.enterChunk(kDevTag) && journal.restoreState(reader)) {
+        reader.leaveChunk();
+        reader.expectEnd();
+    }
+    return reader.status();
+}
+
+} // namespace
+
+TEST(SnapshotDevice, JournalUsedCountDriftRejected)
+{
+    // Control: the hand-written layout restores when used == occupied.
+    const std::vector<JournalSlot> three = {
+        {1, 1}, {4, 2}, {6, kJournalSpent}};
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored =
+            restoreJournalImage(journalImage(8, 3, 2, three), journal);
+        ASSERT_TRUE(restored.ok()) << restored.error();
+        EXPECT_EQ(journal.activeKeyCount(), 2u);
+    }
+    // `used` one below occupancy passes the CRC and the geometry check
+    // but must still be refused.
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored =
+            restoreJournalImage(journalImage(8, 2, 2, three), journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal occupancy/used mismatch");
+    }
+    // A full table under a small `used` is the case that would hang:
+    // the next new key skips the grow and probes a table with no empty
+    // slot. The restore refuses it, and the journal stays usable.
+    {
+        const std::vector<JournalSlot> full = {{0, 1},
+                                               {1, kJournalSpent},
+                                               {2, kJournalSpent},
+                                               {3, kJournalSpent}};
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored =
+            restoreJournalImage(journalImage(4, 1, 1, full), journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal occupancy/used mismatch");
+        EXPECT_TRUE(journal.recordIfChanged(
+            77, pf::ElementActivity{pf::Activity::Hold0, 0.5}, 0));
+        EXPECT_EQ(journal.activeKeyCount(), 1u);
     }
 }
 
