@@ -12,6 +12,7 @@
 
 #include "cloud/ambient.hpp"
 #include "cloud/platform.hpp"
+#include "fabric/activity_journal.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "phys/aging.hpp"
@@ -258,6 +259,40 @@ BM_TenancyTurnoverEager(benchmark::State &state)
     runTenancyTurnover(state, true);
 }
 BENCHMARK(BM_TenancyTurnoverEager);
+
+void
+BM_JournalGrowth(benchmark::State &state)
+{
+    // A hot board's journal in isolation: tenancy after tenancy
+    // configures 768 keys nobody has journaled before, then releases
+    // them, and no key is ever measured — so the journal only grows
+    // (to 19 200 keys here, the order of a LIFO-re-rented board's
+    // year) and every doubling of its index lands inside the loop.
+    constexpr std::uint64_t kBatches = 25;
+    constexpr std::uint64_t kKeys = 768;
+    for (auto _ : state) {
+        fabric::ActivityJournal journal;
+        std::uint32_t pos = 0;
+        for (std::uint64_t b = 0; b < kBatches; ++b) {
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                journal.recordIfChanged(
+                    (b * kKeys + k) * 0x9e3779b97f4a7c15ULL,
+                    fabric::ElementActivity{fabric::Activity::Hold1, 0.5},
+                    pos);
+            }
+            ++pos;
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                journal.recordIfChanged(
+                    (b * kKeys + k) * 0x9e3779b97f4a7c15ULL,
+                    fabric::ElementActivity{}, pos);
+            }
+            ++pos;
+        }
+        benchmark::DoNotOptimize(journal.activeKeyCount());
+    }
+    state.SetLabel("25 tenancies x 768 fresh keys, record + wipe");
+}
+BENCHMARK(BM_JournalGrowth);
 
 void
 BM_AmbientEventTrace(benchmark::State &state)

@@ -1,95 +1,93 @@
 #include "fabric/activity_journal.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hpp"
 #include "util/snapshot.hpp"
 
 namespace pentimento::fabric {
 
+std::size_t
+ActivityJournal::indexSizeFor(std::size_t keys)
+{
+    std::size_t size = kMinIndex;
+    while (2 * keys > size) {
+        size *= 2;
+    }
+    return size;
+}
+
 void
 ActivityJournal::grow()
 {
-    growFor(used_ + 1);
-}
-
-void
-ActivityJournal::growFor(std::size_t total)
-{
-    std::size_t grown = slots_.empty() ? 256 : slots_.size();
-    while (2 * total > grown) {
-        grown *= 2;
-    }
-    if (grown == slots_.size()) {
-        return;
-    }
-    // Slot is trivial, so this is one memset-cheap allocation plus a
-    // re-insert sweep — not 10^5 run constructors.
-    std::vector<Slot> rehashed(grown);
+    // Only the 4-byte index is rebuilt: the entries stay where they
+    // are, and re-inserting them in entry order gives the same layout
+    // a restore rebuilds.
+    const std::size_t grown = indexSizeFor(entries_.size() + 1);
+    index_.assign(grown, 0);
     const std::size_t mask = grown - 1;
-    for (const Slot &slot : slots_) {
-        if (slot.count == 0) {
-            continue;
-        }
-        std::size_t i = hashKey(slot.key) & mask;
-        while (rehashed[i].count != 0) {
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+        std::size_t i = hashKey(entries_[e].key) & mask;
+        while (index_[i] != 0) {
             i = (i + 1) & mask;
         }
-        rehashed[i] = slot;
+        index_[i] = static_cast<std::uint32_t>(e + 1);
     }
-    slots_ = std::move(rehashed);
-}
-
-void
-ActivityJournal::reserve(std::size_t expected_keys)
-{
-    growFor(used_ + expected_keys);
 }
 
 const ActivityJournal::RawRun &
-ActivityJournal::lastRun(const Slot &slot) const
+ActivityJournal::lastRun(const Entry &entry) const
 {
-    if (slot.count <= 2) {
-        return slot.runs[slot.count - 1];
+    if (entry.count <= 2) {
+        return entry.runs[entry.count - 1];
     }
-    return arena_[slot.tail].run;
+    return arena_[entry.tail].run;
+}
+
+std::uint32_t
+ActivityJournal::activeCell(std::uint64_t key) const
+{
+    if (index_.empty()) {
+        return 0;
+    }
+    const std::uint32_t cell = index_[probe(key)];
+    return cell != 0 && entries_[cell - 1].count != kSpent ? cell : 0;
 }
 
 ElementActivity
 ActivityJournal::current(std::uint64_t key) const
 {
-    if (slots_.empty()) {
+    const std::uint32_t cell = activeCell(key);
+    if (cell == 0) {
         return ElementActivity{};
     }
-    const Slot &slot = slots_[probe(key)];
-    if (slot.count == 0 || slot.count == kSpent) {
-        return ElementActivity{};
-    }
-    const RawRun &last = lastRun(slot);
+    const RawRun &last = lastRun(entries_[cell - 1]);
     return ElementActivity{last.kind, last.duty_one};
 }
 
 bool
-ActivityJournal::recordOverflow(Slot &slot,
+ActivityJournal::recordOverflow(Entry &entry,
                                 const ElementActivity &activity,
                                 std::uint32_t pos)
 {
-    if (slot.count == kSpent) {
+    if (entry.count == kSpent) {
         util::fatal("ActivityJournal: flip recorded for a consumed "
                     "(materialised) key");
     }
-    if (slot.count > 2 && sameActivity(arena_[slot.tail].run, activity)) {
+    if (entry.count > 2 &&
+        sameActivity(arena_[entry.tail].run, activity)) {
         return false;
     }
     const auto node = static_cast<std::uint32_t>(arena_.size());
     arena_.push_back(Node{pack(pos, activity), kNpos});
-    if (slot.count > 2) {
-        arena_[slot.tail].next = node;
+    if (entry.count > 2) {
+        arena_[entry.tail].next = node;
     } else {
-        slot.head = node;
+        entry.head = node;
     }
-    slot.tail = node;
-    ++slot.count;
+    entry.tail = node;
+    ++entry.count;
     return true;
 }
 
@@ -97,20 +95,18 @@ std::vector<JournalRun>
 ActivityJournal::consume(std::uint64_t key)
 {
     std::vector<JournalRun> runs;
-    if (slots_.empty()) {
+    const std::uint32_t cell = activeCell(key);
+    if (cell == 0) {
         return runs;
     }
-    Slot &slot = slots_[probe(key)];
-    if (slot.count == 0 || slot.count == kSpent) {
-        return runs;
+    Entry &entry = entries_[cell - 1];
+    runs.reserve(entry.count);
+    runs.push_back(unpack(entry.runs[0]));
+    if (entry.count >= 2) {
+        runs.push_back(unpack(entry.runs[1]));
     }
-    runs.reserve(slot.count);
-    runs.push_back(unpack(slot.runs[0]));
-    if (slot.count >= 2) {
-        runs.push_back(unpack(slot.runs[1]));
-    }
-    if (slot.count > 2) {
-        for (std::uint32_t i = slot.head; i != kNpos;
+    if (entry.count > 2) {
+        for (std::uint32_t i = entry.head; i != kNpos;
              i = arena_[i].next) {
             runs.push_back(unpack(arena_[i].run));
         }
@@ -118,13 +114,13 @@ ActivityJournal::consume(std::uint64_t key)
     // Invalidate the memoised min only when this key attained it
     // (its first-run position is still intact here) — an observation
     // burst consuming thousands of non-pin keys must not force an
-    // O(table) rescan per subsequent compaction query.
-    if (slot.runs[0].from == cached_min_) {
+    // O(entries) rescan per subsequent compaction query.
+    if (entry.runs[0].from == cached_min_) {
         cached_min_ = kNpos;
     }
-    slot.count = kSpent;
-    slot.head = 0;
-    slot.tail = 0;
+    entry.count = kSpent;
+    entry.head = 0;
+    entry.tail = 0;
     --active_;
     return runs;
 }
@@ -134,9 +130,9 @@ ActivityJournal::activeKeys() const
 {
     std::vector<std::uint64_t> keys;
     keys.reserve(active_);
-    for (const Slot &slot : slots_) {
-        if (slot.count != 0 && slot.count != kSpent) {
-            keys.push_back(slot.key);
+    for (const Entry &entry : entries_) {
+        if (entry.count != kSpent) {
+            keys.push_back(entry.key);
         }
     }
     return keys;
@@ -150,9 +146,9 @@ ActivityJournal::minActivePosition(std::uint32_t fallback) const
     }
     if (cached_min_ == kNpos) {
         std::uint32_t min_pos = static_cast<std::uint32_t>(-2);
-        for (const Slot &slot : slots_) {
-            if (slot.count != 0 && slot.count != kSpent) {
-                min_pos = std::min(min_pos, slot.runs[0].from);
+        for (const Entry &entry : entries_) {
+            if (entry.count != kSpent) {
+                min_pos = std::min(min_pos, entry.runs[0].from);
             }
         }
         cached_min_ = min_pos;
@@ -169,16 +165,16 @@ ActivityJournal::rebase(std::uint32_t delta)
     if (cached_min_ != kNpos) {
         cached_min_ -= delta;
     }
-    for (Slot &slot : slots_) {
-        if (slot.count == 0 || slot.count == kSpent) {
+    for (Entry &entry : entries_) {
+        if (entry.count == kSpent) {
             continue;
         }
-        slot.runs[0].from -= delta;
-        if (slot.count >= 2) {
-            slot.runs[1].from -= delta;
+        entry.runs[0].from -= delta;
+        if (entry.count >= 2) {
+            entry.runs[1].from -= delta;
         }
-        if (slot.count > 2) {
-            for (std::uint32_t i = slot.head; i != kNpos;
+        if (entry.count > 2) {
+            for (std::uint32_t i = entry.head; i != kNpos;
                  i = arena_[i].next) {
                 arena_[i].run.from -= delta;
             }
@@ -188,152 +184,169 @@ ActivityJournal::rebase(std::uint32_t delta)
 
 namespace {
 
-void
-saveRun(util::SnapshotWriter &writer,
-        std::uint32_t from, Activity kind, double duty_one)
-{
-    writer.u32(from);
-    writer.u8(static_cast<std::uint8_t>(kind));
-    writer.f64(duty_one);
-}
+/** Kind-byte flag: the run's duty is exactly 0.5 and is not written. */
+constexpr std::uint8_t kHalfDuty = 0x80;
+
+/** Fewest bytes an arena node / an entry can encode to. */
+constexpr std::size_t kMinNodeBytes = 3;  // position, kind, link
+constexpr std::size_t kMinEntryBytes = 9; // key, count
 
 } // namespace
 
 void
 ActivityJournal::saveState(util::SnapshotWriter &writer) const
 {
-    writer.u64(slots_.size());
-    writer.u64(used_);
-    writer.u64(active_);
+    const auto saveRun = [&writer](const RawRun &run) {
+        writer.varint(run.from);
+        const bool half = run.duty_one == 0.5;
+        writer.u8(static_cast<std::uint8_t>(run.kind) |
+                  (half ? kHalfDuty : 0));
+        if (!half) {
+            writer.f64(run.duty_one);
+        }
+    };
+    writer.varint(index_.size());
+    writer.varint(active_);
     writer.u32(cached_min_);
-    writer.u64(arena_.size());
+    writer.varint(arena_.size());
     for (const Node &node : arena_) {
-        saveRun(writer, node.run.from, node.run.kind, node.run.duty_one);
-        writer.u32(node.next);
+        saveRun(node.run);
+        // Link + 1, so the chain end (kNpos) is the one-byte 0.
+        writer.varint(node.next == kNpos ? 0 : std::uint64_t{node.next} + 1);
     }
-    // Keys are never erased (a consumed key becomes kSpent), so the
-    // occupied-slot count written here is always used_.
-    writer.u64(used_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const Slot &slot = slots_[i];
-        if (slot.count == 0) {
+    writer.varint(entries_.size());
+    for (const Entry &entry : entries_) {
+        writer.u64(entry.key);
+        if (entry.count == kSpent) {
+            writer.varint(0);
             continue;
         }
-        writer.u64(i);
-        writer.u64(slot.key);
-        writer.u32(slot.count);
-        writer.u32(slot.head);
-        writer.u32(slot.tail);
-        saveRun(writer, slot.runs[0].from, slot.runs[0].kind,
-                slot.runs[0].duty_one);
-        saveRun(writer, slot.runs[1].from, slot.runs[1].kind,
-                slot.runs[1].duty_one);
+        writer.varint(entry.count);
+        saveRun(entry.runs[0]);
+        if (entry.count >= 2) {
+            saveRun(entry.runs[1]);
+        }
+        if (entry.count > 2) {
+            writer.varint(entry.head);
+            writer.varint(entry.tail);
+        }
     }
 }
-
-namespace {
-
-struct RestoreRun
-{
-    std::uint32_t from = 0;
-    std::uint8_t kind = 0;
-    double duty_one = 0.0;
-};
-
-RestoreRun
-readRun(util::SnapshotReader &reader)
-{
-    RestoreRun run;
-    run.from = reader.u32();
-    run.kind = reader.u8();
-    run.duty_one = reader.f64();
-    if (run.kind > static_cast<std::uint8_t>(Activity::Toggle)) {
-        reader.fail("snapshot: journal run has invalid activity kind");
-    }
-    return run;
-}
-
-} // namespace
 
 bool
 ActivityJournal::restoreState(util::SnapshotReader &reader)
 {
-    const std::uint64_t table_size = reader.u64();
-    const std::uint64_t used = reader.u64();
-    const std::uint64_t active = reader.u64();
+    const auto readRun = [&reader]() {
+        const std::uint64_t from = reader.varint();
+        const std::uint8_t kind = reader.u8();
+        const double duty_one =
+            (kind & kHalfDuty) != 0 ? 0.5 : reader.f64();
+        const std::uint8_t activity = kind & ~kHalfDuty;
+        if (reader.ok() &&
+            (from > std::numeric_limits<std::uint32_t>::max() ||
+             activity > static_cast<std::uint8_t>(Activity::Toggle))) {
+            reader.fail("snapshot: journal run is out of range");
+        }
+        return RawRun{static_cast<std::uint32_t>(from),
+                      static_cast<Activity>(activity), duty_one};
+    };
+
+    const std::uint64_t index_size = reader.varint();
+    const std::uint64_t active = reader.varint();
     const std::uint32_t cached_min = reader.u32();
-    const std::uint64_t arena_size = reader.u64();
-    if (!reader.ok()) {
-        return false;
+    const std::uint64_t arena_size = reader.varint();
+    if (reader.ok() && arena_size > reader.remaining() / kMinNodeBytes) {
+        reader.fail("snapshot: journal arena count overruns the chunk");
     }
-    if ((table_size & (table_size - 1)) != 0 ||
-        (table_size == 0 && used != 0) || active > used ||
-        (table_size != 0 && 2 * used > table_size)) {
-        reader.fail("snapshot: journal table geometry is inconsistent");
+    if (!reader.ok()) {
         return false;
     }
     std::vector<Node> arena;
     arena.reserve(arena_size);
     for (std::uint64_t i = 0; i < arena_size && reader.ok(); ++i) {
-        const RestoreRun run = readRun(reader);
-        const std::uint32_t next = reader.u32();
-        if (reader.ok() && next != kNpos && next >= arena_size) {
+        const RawRun run = readRun();
+        const std::uint64_t link = reader.varint();
+        if (reader.ok() && link > arena_size) {
             reader.fail("snapshot: journal arena link out of range");
         }
-        arena.push_back(Node{
-            RawRun{run.from, static_cast<Activity>(run.kind),
-                   run.duty_one},
-            next});
+        arena.push_back(
+            Node{run, link == 0 ? kNpos
+                                : static_cast<std::uint32_t>(link - 1)});
     }
-    const std::uint64_t occupied = reader.u64();
-    if (reader.ok() && occupied > table_size) {
-        reader.fail("snapshot: journal occupancy exceeds table size");
-    }
-    // A used count below occupancy would fill the probe table past its
-    // load factor, and probe() never ends on a full table.
-    if (reader.ok() && occupied != used) {
-        reader.fail("snapshot: journal occupancy/used mismatch");
+    const std::uint64_t entry_count = reader.varint();
+    if (reader.ok() && entry_count > reader.remaining() / kMinEntryBytes) {
+        reader.fail("snapshot: journal entry count overruns the chunk");
     }
     if (!reader.ok()) {
         return false;
     }
-    std::vector<Slot> slots(table_size);
+    // The index must be one live growth could have left: a power of
+    // two at most half full (a full table would never end a probe)
+    // and no wider than one more entry needs (so a crafted size
+    // cannot reach the allocator).
+    if (index_size != 0 &&
+        ((index_size & (index_size - 1)) != 0 || index_size < kMinIndex)) {
+        reader.fail("snapshot: journal index size is not a table size");
+        return false;
+    }
+    if (2 * entry_count > index_size) {
+        reader.fail("snapshot: journal holds more entries than half "
+                    "its index");
+        return false;
+    }
+    if (index_size > indexSizeFor(entry_count + 1)) {
+        reader.fail("snapshot: journal index is larger than its "
+                    "entries need");
+        return false;
+    }
+
+    // A spilled chain must run head → tail through exactly count - 2
+    // nodes no other chain owns, then end: consume() and rebase()
+    // walk it to kNpos, so a cycle would never end and a shared node
+    // would be rebased twice.
+    std::vector<std::uint8_t> owned(arena_size);
+    const auto claimChain = [&](const Entry &entry) {
+        std::uint32_t node = entry.head;
+        std::uint32_t last = kNpos;
+        for (std::uint32_t k = 2; k < entry.count; ++k) {
+            if (node >= arena_size || owned[node] != 0) {
+                return false;
+            }
+            owned[node] = 1;
+            last = node;
+            node = arena[node].next;
+        }
+        return node == kNpos && last == entry.tail;
+    };
+
+    std::vector<Entry> entries;
+    entries.reserve(entry_count);
     std::uint64_t seen_active = 0;
-    for (std::uint64_t n = 0; n < occupied && reader.ok(); ++n) {
-        const std::uint64_t index = reader.u64();
-        const std::uint64_t key = reader.u64();
-        const std::uint32_t count = reader.u32();
-        const std::uint32_t head = reader.u32();
-        const std::uint32_t tail = reader.u32();
-        const RestoreRun run0 = readRun(reader);
-        const RestoreRun run1 = readRun(reader);
-        if (!reader.ok()) {
-            return false;
+    for (std::uint64_t n = 0; n < entry_count && reader.ok(); ++n) {
+        Entry entry{reader.u64(), kSpent, 0, 0, {}};
+        const std::uint64_t count = reader.varint();
+        if (count >= kSpent) {
+            reader.fail("snapshot: journal entry run count is out of "
+                        "range");
+        } else if (count != 0) {
+            entry.count = static_cast<std::uint32_t>(count);
+            entry.runs[0] = readRun();
+            if (count >= 2) {
+                entry.runs[1] = readRun();
+            }
+            if (count > 2) {
+                entry.head = static_cast<std::uint32_t>(
+                    std::min<std::uint64_t>(reader.varint(), kNpos));
+                entry.tail = static_cast<std::uint32_t>(
+                    std::min<std::uint64_t>(reader.varint(), kNpos));
+                if (reader.ok() && !claimChain(entry)) {
+                    reader.fail("snapshot: journal spill chain is "
+                                "broken");
+                }
+            }
+            ++seen_active;
         }
-        if (index >= table_size || slots[index].count != 0) {
-            reader.fail("snapshot: journal slot index invalid or "
-                        "duplicated");
-            return false;
-        }
-        if (count == 0 ||
-            (count != kSpent && count > 2 &&
-             (head >= arena_size || tail >= arena_size ||
-              count - 2 > arena_size))) {
-            reader.fail("snapshot: journal slot run count/chain invalid");
-            return false;
-        }
-        Slot &slot = slots[index];
-        slot.key = key;
-        slot.count = count;
-        slot.head = head;
-        slot.tail = tail;
-        slot.runs[0] = RawRun{run0.from,
-                              static_cast<Activity>(run0.kind),
-                              run0.duty_one};
-        slot.runs[1] = RawRun{run1.from,
-                              static_cast<Activity>(run1.kind),
-                              run1.duty_one};
-        seen_active += (count != kSpent) ? 1 : 0;
+        entries.push_back(entry);
     }
     if (!reader.ok()) {
         return false;
@@ -342,9 +355,19 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
         reader.fail("snapshot: journal active-key count mismatch");
         return false;
     }
-    slots_ = std::move(slots);
+
+    entries_ = std::move(entries);
+    index_.assign(index_size, 0);
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+        const std::size_t cell = probe(entries_[e].key);
+        if (index_[cell] != 0) {
+            *this = ActivityJournal{};
+            reader.fail("snapshot: journal key is duplicated");
+            return false;
+        }
+        index_[cell] = static_cast<std::uint32_t>(e + 1);
+    }
     arena_ = std::move(arena);
-    used_ = used;
     active_ = active;
     cached_min_ = cached_min;
     return true;

@@ -17,15 +17,21 @@
  * used at each flip, so aged delays are bit-identical — laziness is
  * unobservable except through materializedCount()-class diagnostics.
  *
- * Layout: a flat open-addressing key table (the AgingStore index
- * idiom — keys are never erased, linear probing, no tombstones). The
- * first two runs — the whole configure/release lifecycle of a
- * typical unmeasured tenancy — live INLINE in the slot, so the
- * record path costs one probe and one cache line with no per-key
- * heap allocation at all; third and later runs (mitigation flip
- * churn) spill into a linked arena. Consuming a key at
- * materialisation marks the slot spent; spilled runs become garbage
- * bounded by the number of flips ever recorded.
+ * Layout: a dense entry vector plus a 4-byte open-addressing index.
+ * `entries_` holds one record per key in insertion order; keys are
+ * never erased (consuming a key at materialisation marks its entry
+ * spent). The first two runs — the whole configure/release
+ * lifecycle of a typical unmeasured tenancy — live INLINE in the
+ * entry, so the record path allocates nothing per key; third and
+ * later runs (mitigation flip churn) spill into a linked arena whose
+ * garbage is bounded by the number of flips ever recorded. `index_`
+ * is a power-of-two table of entry position + 1 (0 = empty),
+ * linear-probed at no more than half load. Growth re-inserts the
+ * entries into a wider index in entry order; an entry keeps its
+ * position for life. The index layout is therefore a pure
+ * function of the entry order and the index size, and a restore that
+ * re-inserts the saved entries at the saved size rebuilds it exactly
+ * — only the entries travel in a checkpoint.
  *
  * Thread-safety: none. All writers (design load/wipe, element
  * materialisation) run in exclusive phases by the Device's existing
@@ -88,7 +94,7 @@ class ActivityJournal
      *
      * Header-inline: one call per configured key per design load and
      * wipe IS the tenancy-turnover hot path, and the two-inline-run
-     * slot keeps the common case to a single cache line.
+     * entry keeps the common case to one index probe and one entry.
      */
     bool
     recordIfChanged(std::uint64_t key, ElementActivity activity,
@@ -96,45 +102,37 @@ class ActivityJournal
     {
         // Keep the load factor under 1/2 so probe runs stay short
         // (grown up front: this is the record path's single probe).
-        if (2 * (used_ + 1) > slots_.size()) {
+        if (2 * (entries_.size() + 1) > index_.size()) {
             grow();
         }
-        Slot &slot = slots_[probe(key)];
-        if (slot.count == 0) {
+        std::uint32_t &cell = index_[probe(key)];
+        if (cell == 0) {
             if (activity == ElementActivity{}) {
                 // Releasing a never-journaled key: no flip.
                 return false;
             }
-            slot.key = key;
-            slot.runs[0] = pack(pos, activity);
-            slot.count = 1;
-            ++used_;
+            entries_.push_back(
+                Entry{key, 1, 0, 0, {pack(pos, activity), RawRun{}}});
+            cell = static_cast<std::uint32_t>(entries_.size());
             ++active_;
             if (cached_min_ != kNpos && pos < cached_min_) {
                 cached_min_ = pos;
             }
             return true;
         }
-        if (slot.count <= 2) {
-            if (sameActivity(slot.runs[slot.count - 1], activity)) {
+        Entry &entry = entries_[cell - 1];
+        if (entry.count <= 2) {
+            if (sameActivity(entry.runs[entry.count - 1], activity)) {
                 return false;
             }
-            if (slot.count < 2) {
-                slot.runs[1] = pack(pos, activity);
-                slot.count = 2;
+            if (entry.count < 2) {
+                entry.runs[1] = pack(pos, activity);
+                entry.count = 2;
                 return true;
             }
         }
-        return recordOverflow(slot, activity, pos);
+        return recordOverflow(entry, activity, pos);
     }
-
-    /**
-     * Pre-size the table for `expected_keys` journaled keys (e.g. the
-     * configured-element count of an incoming design), so a design
-     * load grows the table at most once instead of doubling through
-     * it mid-loop.
-     */
-    void reserve(std::size_t expected_keys);
 
     /**
      * Move a key's runs out, oldest first, and mark the key consumed
@@ -146,7 +144,7 @@ class ActivityJournal
     /** Number of keys journaled and not yet consumed. */
     std::size_t activeKeyCount() const { return active_; }
 
-    /** Keys journaled and not yet consumed, in table order. */
+    /** Keys journaled and not yet consumed, in first-record order. */
     std::vector<std::uint64_t> activeKeys() const;
 
     /**
@@ -165,35 +163,37 @@ class ActivityJournal
     void rebase(std::uint32_t delta);
 
     /**
-     * Serialize the journal into the writer's current chunk as an
-     * exact structural clone: table geometry, occupied slots at their
-     * probe positions (spent markers included — recording against a
-     * consumed key must still be detected after a restore), the spill
-     * arena with its chain links, and the memoised compaction pin.
+     * Serialize the journal into the writer's current chunk: index
+     * size, active count and memoised compaction pin, the spill arena
+     * with its chain links, then every entry in order (spent markers
+     * included — recording against a consumed key must still be
+     * detected after a restore). Counts and positions are LEB128
+     * varints, and a run's duty is written only when it is not 0.5.
      */
     void saveState(util::SnapshotWriter &writer) const;
 
     /**
-     * Restore into a fresh journal from the reader's current chunk.
-     * Structural corruption (out-of-range slot indices, broken chain
-     * links, impossible counts) poisons the reader; returns ok().
+     * Restore into a fresh journal from the reader's current chunk
+     * and rebuild the index at the saved size. Structural corruption
+     * (a duplicate key, an index too small or too large for its
+     * entries, a broken chain link, an impossible count, a bad
+     * varint) poisons the reader and leaves the journal empty;
+     * returns ok().
      */
     bool restoreState(util::SnapshotReader &reader);
 
   private:
     static constexpr std::uint32_t kNpos =
         static_cast<std::uint32_t>(-1);
-    /** Slot::count value marking a consumed (materialised) key. */
+    /** Entry::count value marking a consumed (materialised) key. */
     static constexpr std::uint32_t kSpent =
         static_cast<std::uint32_t>(-2);
+    /** Index size the first record allocates. */
+    static constexpr std::size_t kMinIndex = 256;
 
     /**
-     * Trivially-copyable JournalRun so the Slot stays a POD: a
-     * freshly grown table must be zero-fillable (memset), not
-     * constructor-initialised — at fleet scale the rehash's
-     * value-initialisation otherwise dominates the whole record path.
-     * kind == 0 is Activity::Unused, so zero-filled slots read as
-     * empty/benign.
+     * Trivially-copyable JournalRun so the Entry stays a POD and
+     * entries_ relocates by memcpy when it grows.
      */
     struct RawRun
     {
@@ -223,15 +223,13 @@ class ActivityJournal
     }
 
     /**
-     * Key-table slot, trivial and probe-ordered: the probe loop reads
-     * only the leading key/count fields; the run payload sits behind
-     * them. The first two runs are inline — a tenancy that configures
-     * and releases a key never touches the arena — and runs three and
-     * up chain through arena nodes at `head`/`tail` (meaningful only
-     * when count > 2; zero elsewhere). count == 0 marks an empty
-     * slot, count == kSpent a consumed key.
+     * One journaled key. The first two runs are inline — a tenancy
+     * that configures and releases a key never touches the arena —
+     * and runs three and up chain through arena nodes at `head`/
+     * `tail` (meaningful only when count > 2; zero elsewhere).
+     * count == kSpent marks a consumed key.
      */
-    struct Slot
+    struct Entry
     {
         std::uint64_t key;
         std::uint32_t count;
@@ -239,7 +237,7 @@ class ActivityJournal
         std::uint32_t tail;
         RawRun runs[2];
     };
-    static_assert(std::is_trivially_copyable_v<Slot>);
+    static_assert(std::is_trivially_copyable_v<Entry>);
 
     /** Arena node: an overflow run plus its chain link. */
     struct Node
@@ -257,35 +255,40 @@ class ActivityJournal
         return key ^ (key >> 31);
     }
 
-    /** Probe for key; returns slot index or the empty slot to fill. */
+    /** Smallest index size holding `keys` entries at 1/2 load. */
+    static std::size_t indexSizeFor(std::size_t keys);
+
+    /** Probe for key; returns its index cell or the empty cell to
+     *  fill. */
     std::size_t
     probe(std::uint64_t key) const
     {
-        const std::size_t mask = slots_.size() - 1;
+        const std::size_t mask = index_.size() - 1;
         std::size_t i = hashKey(key) & mask;
-        while (slots_[i].count != 0 && slots_[i].key != key) {
+        while (index_[i] != 0 && entries_[index_[i] - 1].key != key) {
             i = (i + 1) & mask;
         }
         return i;
     }
 
-    /** Double (or bootstrap) the probe table. */
+    /** Widen (or bootstrap) the index to fit one more entry. */
     void grow();
-
-    /** Grow until `total` keys fit under the 1/2 load factor. */
-    void growFor(std::size_t total);
 
     /** Cold path of recordIfChanged: spent-key fatal and third-and-up
      *  runs (arena spill). */
-    bool recordOverflow(Slot &slot, const ElementActivity &activity,
+    bool recordOverflow(Entry &entry, const ElementActivity &activity,
                         std::uint32_t pos);
 
     /** The key's most recent run (count != 0 and not spent). */
-    const RawRun &lastRun(const Slot &slot) const;
+    const RawRun &lastRun(const Entry &entry) const;
 
-    std::vector<Slot> slots_;
+    /** Index cell value (entry position + 1) of `key` while it is
+     *  active; 0 for keys never journaled or already consumed. */
+    std::uint32_t activeCell(std::uint64_t key) const;
+
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> index_;
     std::vector<Node> arena_;
-    std::size_t used_ = 0;
     std::size_t active_ = 0;
     /** Memoised minActivePosition: first-run positions only fall
      *  (rebase) or extend (new keys), so the min is maintained O(1)

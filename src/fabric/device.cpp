@@ -1,6 +1,7 @@
 #include "fabric/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -11,6 +12,11 @@ namespace pentimento::fabric {
 namespace {
 
 constexpr ElementActivity kUnusedActivity{};
+
+/** Fewest bytes one saved record of each device section takes. */
+constexpr std::size_t kMinSegmentBytes = 17; // duration, stress, flag
+constexpr std::size_t kElementBytes = 77;
+constexpr std::size_t kBramBytes = 41;
 
 } // namespace
 
@@ -580,10 +586,6 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     entry->handles.reserve(map.size());
     entry->activities.reserve(map.size());
     entry->deferred_order.reserve(map.size());
-    if (!config_.eager_materialisation) {
-        // One up-front growth instead of doubling mid-walk.
-        journal_.reserve(map.size());
-    }
     for (const auto &[key, activity] : map) {
         if (config_.eager_materialisation) {
             entry->activities.push_back(activity);
@@ -906,10 +908,19 @@ Device::saveState(util::SnapshotWriter &writer) const
     // produced yet.
     const auto &closed = timeline_.closed();
     writer.u64(closed.size());
+    // Most segments recover at the rate they stress: recovery_accel
+    // follows a flag byte only when its bits differ.
     for (const AgingSegment &seg : closed) {
         writer.f64(seg.duration_h);
         writer.f64(seg.ctx.stress_accel);
-        writer.f64(seg.ctx.recovery_accel);
+        const bool split = std::bit_cast<std::uint64_t>(
+                               seg.ctx.recovery_accel) !=
+                           std::bit_cast<std::uint64_t>(
+                               seg.ctx.stress_accel);
+        writer.u8(split ? 1 : 0);
+        if (split) {
+            writer.f64(seg.ctx.recovery_accel);
+        }
     }
     writer.u8(timeline_.openValid() ? 1 : 0);
     writer.f64(timeline_.openContext().stress_accel);
@@ -1011,6 +1022,13 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const bool design_was_loaded = reader.u8() != 0;
 
     const std::uint64_t closed_count = reader.u64();
+    // Every count is bounded by the bytes left before it allocates:
+    // a CRC-valid chunk may still claim more records than it holds.
+    if (reader.ok() &&
+        closed_count > reader.remaining() / kMinSegmentBytes) {
+        reader.fail("snapshot: timeline segment count overruns the "
+                    "chunk");
+    }
     if (!reader.ok()) {
         return reader.status();
     }
@@ -1020,7 +1038,12 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
         AgingSegment seg;
         seg.duration_h = reader.f64();
         seg.ctx.stress_accel = reader.f64();
-        seg.ctx.recovery_accel = reader.f64();
+        const std::uint8_t split = reader.u8();
+        seg.ctx.recovery_accel =
+            split != 0 ? reader.f64() : seg.ctx.stress_accel;
+        if (reader.ok() && split > 1) {
+            reader.fail("snapshot: timeline segment flag is invalid");
+        }
         if (reader.ok() &&
             (!std::isfinite(seg.duration_h) || seg.duration_h <= 0.0 ||
              !std::isfinite(seg.ctx.stress_accel) ||
@@ -1037,6 +1060,10 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const double open_comp = reader.f64();
 
     const std::uint64_t element_count = reader.u64();
+    if (reader.ok() &&
+        element_count > reader.remaining() / kElementBytes) {
+        reader.fail("snapshot: element count overruns the chunk");
+    }
     if (!reader.ok()) {
         return reader.status();
     }
@@ -1116,6 +1143,9 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     std::string bram_applied_design = reader.str();
     const std::uint64_t bram_applied_revision = reader.u64();
     const std::uint64_t bram_count = reader.u64();
+    if (reader.ok() && bram_count > reader.remaining() / kBramBytes) {
+        reader.fail("snapshot: BRAM block count overruns the chunk");
+    }
     if (!reader.ok()) {
         return reader.status();
     }

@@ -116,9 +116,13 @@ writeTenancy(util::SnapshotWriter &writer, const Tenancy &tenancy)
     for (const fabric::RouteSpec &spec : tenancy.specs) {
         writer.str(spec.name);
         writer.f64(spec.target_ps);
+        // Route keys are neighbours on the fabric: each is written as
+        // the wrapping delta from the one before, LEB128-coded.
         writer.u64(spec.elements.size());
+        std::uint64_t prev = 0;
         for (const fabric::ResourceId &id : spec.elements) {
-            writer.u64(id.key());
+            writer.varint(id.key() - prev);
+            prev = id.key();
         }
     }
     writer.u64(tenancy.bits.size());
@@ -143,9 +147,10 @@ readTenancy(util::SnapshotReader &reader, Tenancy *tenancy)
         spec.name = reader.str();
         spec.target_ps = reader.f64();
         const std::uint64_t elem_count = reader.u64();
+        std::uint64_t key = 0;
         for (std::uint64_t e = 0; e < elem_count && reader.ok(); ++e) {
-            spec.elements.push_back(
-                fabric::ResourceId::fromKey(reader.u64()));
+            key += reader.varint();
+            spec.elements.push_back(fabric::ResourceId::fromKey(key));
         }
         tenancy->specs.push_back(std::move(spec));
     }

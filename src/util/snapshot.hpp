@@ -40,7 +40,7 @@
 namespace pentimento::util {
 
 /** Format version written to and required from every snapshot. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Pack a 4-char chunk tag ("BRD!") into its on-disk u32. */
 constexpr std::uint32_t
@@ -87,6 +87,19 @@ class SnapshotWriter
     void u64(std::uint64_t v) { put(&v, sizeof(v)); }
     /** Doubles are bit-cast, never formatted: restore is bit-exact. */
     void f64(double v) { put(&v, sizeof(v)); }
+    /** Unsigned LEB128: 7 bits per byte, low group first, 1-10 bytes. */
+    void
+    varint(std::uint64_t v)
+    {
+        std::uint8_t bytes[10];
+        std::size_t n = 0;
+        while (v >= 0x80) {
+            bytes[n++] = static_cast<std::uint8_t>(v) | 0x80;
+            v >>= 7;
+        }
+        bytes[n++] = static_cast<std::uint8_t>(v);
+        put(bytes, n);
+    }
     /** Length-prefixed byte string. */
     void str(std::string_view v);
 
@@ -199,7 +212,37 @@ class SnapshotReader
         take(&v, sizeof(v));
         return v;
     }
+    /** Unsigned LEB128 (see SnapshotWriter::varint); a value longer
+     *  than 10 bytes or wider than 64 bits fails the reader. */
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            const std::uint8_t byte = u8();
+            v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+            if ((byte & 0x80) == 0) {
+                if (shift == 63 && byte > 1) {
+                    break;
+                }
+                return v;
+            }
+        }
+        fail("snapshot: varint overruns 10 bytes / 64 bits");
+        return 0;
+    }
     std::string str();
+
+    /**
+     * Unread payload bytes of the current chunk (0 outside a chunk or
+     * after a failure). Restores bound every count by it before they
+     * allocate: a count whose minimum encoding cannot fit is corrupt.
+     */
+    std::size_t
+    remaining() const
+    {
+        return in_chunk_ && ok() ? payload_end_ - cursor_ : 0;
+    }
 
     /** Record a (first) error; subsequent reads return zeroes. */
     void fail(std::string message);

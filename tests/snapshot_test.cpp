@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -64,6 +65,9 @@ sampleImage()
     writer.beginChunk(kTag2);
     writer.u64(42);
     writer.u64(43);
+    writer.varint(0);
+    writer.varint(300);
+    writer.varint(~std::uint64_t{0});
     writer.endChunk();
     return writer.finish();
 }
@@ -91,6 +95,9 @@ sampleParses(std::vector<std::uint8_t> image)
     }
     (void)r.u64();
     (void)r.u64();
+    (void)r.varint();
+    (void)r.varint();
+    (void)r.varint();
     return r.leaveChunk() && r.expectEnd();
 }
 
@@ -183,6 +190,11 @@ TEST(SnapshotFormat, PrimitiveRoundTrip)
     ASSERT_TRUE(r.enterChunk(kTag2));
     EXPECT_EQ(r.u64(), 42u);
     EXPECT_EQ(r.u64(), 43u);
+    EXPECT_EQ(r.remaining(), 1u + 2u + 10u); // LEB128 widths
+    EXPECT_EQ(r.varint(), 0u);
+    EXPECT_EQ(r.varint(), 300u);
+    EXPECT_EQ(r.varint(), ~std::uint64_t{0});
+    EXPECT_EQ(r.remaining(), 0u);
     ASSERT_TRUE(r.leaveChunk());
     EXPECT_TRUE(r.expectEnd());
     EXPECT_TRUE(r.ok()) << r.error();
@@ -873,46 +885,71 @@ TEST(SnapshotDevice, CorruptImageNeverAborts)
 
 namespace {
 
-/** One hand-written journal slot: its table index and run count. */
-struct JournalSlot
+/** One hand-written journal entry: its key, run count (0 = spent) and,
+ *  past two runs, its spill chain's head and tail nodes. */
+struct JournalEntry
 {
-    std::uint64_t index;
+    std::uint64_t key;
     std::uint32_t count;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
 };
 
-constexpr std::uint32_t kJournalSpent = static_cast<std::uint32_t>(-2);
+constexpr std::uint32_t kJournalNoPin = static_cast<std::uint32_t>(-1);
+/** Kind-byte bit marking a run whose duty is exactly 0.5. */
+constexpr std::uint8_t kJournalHalfDuty = 0x80;
 
 /**
  * A journal chunk written field by field in ActivityJournal's layout:
- * table geometry, an empty spill arena, then the occupied slots, each
- * with two inline Hold1 runs.
+ * index size, active count, pin, the spill arena (one Hold1 run per
+ * node, each with its saved link: next node + 1, 0 = chain end), then
+ * the entries, each with up to two inline Hold1 runs at position 0.
  */
 std::vector<std::uint8_t>
-journalImage(std::uint64_t table_size, std::uint64_t used,
-             std::uint64_t active, const std::vector<JournalSlot> &slots)
+journalImage(std::uint64_t index_size, std::uint64_t active,
+             const std::vector<JournalEntry> &entries,
+             const std::vector<std::uint64_t> &arena_links = {})
 {
+    const auto run = [](pu::SnapshotWriter &writer) {
+        writer.varint(0);
+        writer.u8(static_cast<std::uint8_t>(pf::Activity::Hold1) |
+                  kJournalHalfDuty);
+    };
     pu::SnapshotWriter writer;
     writer.beginChunk(kDevTag);
-    writer.u64(table_size);
-    writer.u64(used);
-    writer.u64(active);
-    writer.u32(0); // memoised compaction pin
-    writer.u64(0); // spill arena size
-    writer.u64(slots.size());
-    for (const JournalSlot &slot : slots) {
-        writer.u64(slot.index);
-        writer.u64(1000 + slot.index); // key
-        writer.u32(slot.count);
-        writer.u32(0); // arena head
-        writer.u32(0); // arena tail
-        for (int run = 0; run < 2; ++run) {
-            writer.u32(0);
-            writer.u8(static_cast<std::uint8_t>(pf::Activity::Hold1));
-            writer.f64(0.5);
+    writer.varint(index_size);
+    writer.varint(active);
+    writer.u32(kJournalNoPin);
+    writer.varint(arena_links.size());
+    for (const std::uint64_t link : arena_links) {
+        run(writer);
+        writer.varint(link);
+    }
+    writer.varint(entries.size());
+    for (const JournalEntry &entry : entries) {
+        writer.u64(entry.key);
+        writer.varint(entry.count);
+        for (std::uint32_t r = 0; r < std::min(entry.count, 2u); ++r) {
+            run(writer);
+        }
+        if (entry.count > 2) {
+            writer.varint(entry.head);
+            writer.varint(entry.tail);
         }
     }
     writer.endChunk();
     return writer.finish();
+}
+
+/** `n` distinct active one-run entries. */
+std::vector<JournalEntry>
+activeEntries(std::size_t n)
+{
+    std::vector<JournalEntry> entries;
+    for (std::size_t i = 0; i < n; ++i) {
+        entries.push_back({1000 + i, 1});
+    }
+    return entries;
 }
 
 /** Restore `image` into `journal`; returns the reader's status. */
@@ -933,47 +970,305 @@ restoreJournalImage(std::vector<std::uint8_t> image,
     return reader.status();
 }
 
+/** The journal's own chunk image. */
+std::vector<std::uint8_t>
+saveJournalImage(const pf::ActivityJournal &journal)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kDevTag);
+    journal.saveState(writer);
+    writer.endChunk();
+    return writer.finish();
+}
+
+/** A refused restore must leave a journal that still records. */
+void
+expectStillRecords(pf::ActivityJournal &journal)
+{
+    EXPECT_TRUE(journal.recordIfChanged(
+        77, pf::ElementActivity{pf::Activity::Hold0, 0.5}, 0));
+    EXPECT_EQ(journal.activeKeyCount(), 1u);
+    EXPECT_EQ(journal.current(77).kind, pf::Activity::Hold0);
+}
+
 } // namespace
 
-TEST(SnapshotDevice, JournalUsedCountDriftRejected)
+TEST(SnapshotDevice, JournalGeometryAndDuplicatesRejected)
 {
-    // Control: the hand-written layout restores when used == occupied.
-    const std::vector<JournalSlot> three = {
-        {1, 1}, {4, 2}, {6, kJournalSpent}};
+    // Control: the hand-written layout restores, spent marker and all,
+    // and lists its active keys in entry order.
     {
         pf::ActivityJournal journal;
-        const pu::Expected<void> restored =
-            restoreJournalImage(journalImage(8, 3, 2, three), journal);
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 2, {{1001, 1}, {1000, 2}, {1002, 0}}),
+            journal);
         ASSERT_TRUE(restored.ok()) << restored.error();
-        EXPECT_EQ(journal.activeKeyCount(), 2u);
+        EXPECT_EQ(journal.activeKeys(),
+                  (std::vector<std::uint64_t>{1001, 1000}));
+        EXPECT_EQ(journal.current(1000).kind, pf::Activity::Hold1);
+        EXPECT_EQ(journal.current(1002).kind, pf::Activity::Unused);
     }
-    // `used` one below occupancy passes the CRC and the geometry check
-    // but must still be refused.
+    // Entries above half the index: the next record could fill it,
+    // and probe() never ends on a full table. A completely full index
+    // is the case that would hang.
+    for (const std::size_t n : {std::size_t{129}, std::size_t{256}}) {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, n, activeEntries(n)), journal);
+        ASSERT_FALSE(restored.ok()) << n << " entries";
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal holds more entries than half its "
+                  "index");
+        expectStillRecords(journal);
+    }
+    // Index sizes live growth can never leave.
     {
         pf::ActivityJournal journal;
-        const pu::Expected<void> restored =
-            restoreJournalImage(journalImage(8, 2, 2, three), journal);
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(384, 3, activeEntries(3)), journal);
         ASSERT_FALSE(restored.ok());
         EXPECT_EQ(restored.error(),
-                  "snapshot: journal occupancy/used mismatch");
+                  "snapshot: journal index size is not a table size");
     }
-    // A full table under a small `used` is the case that would hang:
-    // the next new key skips the grow and probes a table with no empty
-    // slot. The restore refuses it, and the journal stays usable.
     {
-        const std::vector<JournalSlot> full = {{0, 1},
-                                               {1, kJournalSpent},
-                                               {2, kJournalSpent},
-                                               {3, kJournalSpent}};
         pf::ActivityJournal journal;
-        const pu::Expected<void> restored =
-            restoreJournalImage(journalImage(4, 1, 1, full), journal);
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(512, 3, activeEntries(3)), journal);
         ASSERT_FALSE(restored.ok());
         EXPECT_EQ(restored.error(),
-                  "snapshot: journal occupancy/used mismatch");
-        EXPECT_TRUE(journal.recordIfChanged(
-            77, pf::ElementActivity{pf::Activity::Hold0, 0.5}, 0));
-        EXPECT_EQ(journal.activeKeyCount(), 1u);
+                  "snapshot: journal index is larger than its entries "
+                  "need");
+    }
+    // A duplicate key is refused after the index is built, and the
+    // half-built state is discarded.
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 2, {{1000, 1}, {1001, 0}, {1000, 2}}),
+            journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(), "snapshot: journal key is duplicated");
+        EXPECT_EQ(journal.activeKeyCount(), 0u);
+        EXPECT_EQ(journal.current(1000).kind, pf::Activity::Unused);
+        expectStillRecords(journal);
+    }
+    // Spill chains: a good one restores; a link past the arena, a
+    // cycle, and a node two chains share are refused (consume() and
+    // rebase() walk chains to their end).
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 1, {{1000, 4, 0, 1}}, {2, 0}), journal);
+        ASSERT_TRUE(restored.ok()) << restored.error();
+        EXPECT_EQ(journal.consume(1000).size(), 4u);
+    }
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 1, {{1000, 3, 0, 0}}, {3, 0}), journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal arena link out of range");
+    }
+    for (const std::vector<JournalEntry> &chains :
+         {std::vector<JournalEntry>{{1000, 4, 0, 1}},
+          std::vector<JournalEntry>{{1000, 3, 1, 1}, {1001, 4, 0, 1}}}) {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, chains.size(), chains,
+                         chains.size() == 1
+                             ? std::vector<std::uint64_t>{2, 1}
+                             : std::vector<std::uint64_t>{2, 0}),
+            journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal spill chain is broken");
+        expectStillRecords(journal);
+    }
+    // The saved active count must match the non-spent entries.
+    {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 3, {{1000, 1}, {1001, 0}, {1002, 2}}),
+            journal);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_EQ(restored.error(),
+                  "snapshot: journal active-key count mismatch");
+        expectStillRecords(journal);
+    }
+}
+
+TEST(SnapshotDevice, JournalSaveRestoreSaveIsByteIdentical)
+{
+    // A seeded program of records, consumes, rebases and index
+    // growths over a pool of keys, then save → restore → save.
+    constexpr std::size_t kPool = 3000;
+    constexpr std::uint64_t kBase = 0x0001000200030000ULL;
+    pf::ActivityJournal journal;
+    pu::Rng rng(20240514);
+    std::vector<bool> spent(kPool, false);
+    std::vector<std::size_t> runs(kPool, 0);
+    std::uint32_t pos = 0;
+    std::size_t off_half = 0;
+    std::size_t consumed = 0;
+    std::size_t rebases = 0;
+    for (int step = 0; step < 40000; ++step) {
+        const std::size_t k = rng.uniformIndex(kPool);
+        const double op = rng.uniform();
+        if (op < 0.0005) {
+            // A compaction drops part of the pinned prefix.
+            const std::uint32_t delta = journal.minActivePosition(pos) / 2;
+            journal.rebase(delta);
+            pos -= delta;
+            rebases += delta != 0 ? 1 : 0;
+        } else if (op < 0.02) {
+            consumed += journal.consume(kBase + k).empty() ? 0 : 1;
+            spent[k] = true;
+        } else if (!spent[k]) {
+            // Positions climb past 2^21, so their varints need 4 bytes.
+            pos += static_cast<std::uint32_t>(rng.uniformIndex(600));
+            const auto kind = static_cast<pf::Activity>(rng.uniformIndex(4));
+            const double duty =
+                rng.bernoulli(0.5) ? 0.5 : rng.uniform(0.05, 0.95);
+            if (journal.recordIfChanged(
+                    kBase + k, pf::ElementActivity{kind, duty}, pos)) {
+                ++runs[k];
+                off_half += duty != 0.5 ? 1 : 0;
+            }
+        }
+    }
+    std::size_t spilled = 0;
+    for (std::size_t k = 0; k < kPool; ++k) {
+        spilled += !spent[k] && runs[k] > 2 ? 1 : 0;
+    }
+    ASSERT_GT(spilled, 0u);
+    ASSERT_GT(off_half, 0u);
+    ASSERT_GT(consumed, 0u);
+    ASSERT_GT(rebases, 0u);
+    ASSERT_GE(pos, 1u << 21);
+    ASSERT_GT(journal.activeKeyCount(), 512u); // index grew past 1024
+
+    const std::vector<std::uint8_t> first = saveJournalImage(journal);
+    pf::ActivityJournal restored;
+    const pu::Expected<void> result = restoreJournalImage(first, restored);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(saveJournalImage(restored), first);
+
+    EXPECT_EQ(restored.activeKeys(), journal.activeKeys());
+    EXPECT_EQ(restored.minActivePosition(pos),
+              journal.minActivePosition(pos));
+    for (std::size_t k = 0; k < kPool; ++k) {
+        const pf::ElementActivity a = journal.current(kBase + k);
+        const pf::ElementActivity b = restored.current(kBase + k);
+        EXPECT_EQ(a.kind, b.kind) << "key " << k;
+        EXPECT_EQ(a.duty_one, b.duty_one) << "key " << k;
+    }
+    for (std::size_t k = 0; k < kPool; ++k) {
+        const std::vector<pf::JournalRun> a = journal.consume(kBase + k);
+        const std::vector<pf::JournalRun> b = restored.consume(kBase + k);
+        ASSERT_EQ(a.size(), b.size()) << "key " << k;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].from, b[i].from);
+            EXPECT_TRUE(a[i].activity == b[i].activity);
+        }
+    }
+}
+
+TEST(SnapshotDevice, HugeCountsRejectedWithoutAllocating)
+{
+    // A pristine device's payload, spliced and re-wrapped so its CRC
+    // is valid: every count below claims far more records than the
+    // chunk holds and must fail before anything is sized by it. The
+    // tail of a pristine payload is fixed: closed-segment count, the
+    // open segment (33 bytes), element count, the empty journal
+    // (index size, active count, pin u32, arena count, entry count:
+    // 8 bytes), then the BRAM design name, revision and block count.
+    pf::Device pristine(tinyConfig(17));
+    const std::vector<std::uint8_t> image = saveDeviceImage(pristine);
+    std::uint64_t payload_len = 0;
+    std::memcpy(&payload_len, image.data() + 24, sizeof(payload_len));
+    const std::vector<std::uint8_t> payload(
+        image.begin() + 32,
+        image.begin() + 32 + static_cast<std::ptrdiff_t>(payload_len));
+    const std::size_t end = payload.size();
+    const std::size_t closed_at = end - 81;
+    const std::size_t elements_at = end - 40;
+    const std::size_t journal_at = end - 32;
+    const std::size_t bram_at = end - 8;
+
+    const auto u64Bytes = [](std::uint64_t v) {
+        std::vector<std::uint8_t> bytes(sizeof(v));
+        std::memcpy(bytes.data(), &v, sizeof(v));
+        return bytes;
+    };
+    const auto varintBytes = [](std::uint64_t v) {
+        std::vector<std::uint8_t> bytes;
+        while (v >= 0x80) {
+            bytes.push_back(static_cast<std::uint8_t>(v) | 0x80);
+            v >>= 7;
+        }
+        bytes.push_back(static_cast<std::uint8_t>(v));
+        return bytes;
+    };
+    // Replace `width` bytes at `at`, then restore the re-wrapped image.
+    const auto restoreSpliced = [&](std::size_t at, std::size_t width,
+                                    const std::vector<std::uint8_t> &with) {
+        std::vector<std::uint8_t> spliced = payload;
+        spliced.erase(spliced.begin() + static_cast<std::ptrdiff_t>(at),
+                      spliced.begin() +
+                          static_cast<std::ptrdiff_t>(at + width));
+        spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(at),
+                       with.begin(), with.end());
+        pu::SnapshotWriter writer;
+        writer.beginChunk(kDevTag);
+        for (const std::uint8_t byte : spliced) {
+            writer.u8(byte);
+        }
+        writer.endChunk();
+        pf::Device target(tinyConfig(17));
+        return restoreDeviceImage(writer.finish(), target);
+    };
+
+    // The splice points hold what a pristine device saves.
+    ASSERT_TRUE(restoreSpliced(0, 0, {}).ok());
+    ASSERT_EQ(std::vector<std::uint8_t>(payload.begin() + closed_at,
+                                        payload.begin() + closed_at + 8),
+              u64Bytes(0));
+    ASSERT_EQ(std::vector<std::uint8_t>(payload.begin() + journal_at,
+                                        payload.begin() + journal_at + 2),
+              (std::vector<std::uint8_t>{0, 0}));
+
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+    struct Case
+    {
+        const char *what;
+        std::size_t at;
+        std::size_t width;
+        std::vector<std::uint8_t> with;
+        const char *error;
+    };
+    const std::vector<Case> cases = {
+        {"segments", closed_at, 8, u64Bytes(kHuge),
+         "snapshot: timeline segment count overruns the chunk"},
+        {"elements", elements_at, 8, u64Bytes(kHuge),
+         "snapshot: element count overruns the chunk"},
+        {"index", journal_at, 1, varintBytes(std::uint64_t{1} << 40),
+         "snapshot: journal index is larger than its entries need"},
+        {"arena", journal_at + 6, 1, varintBytes(kHuge),
+         "snapshot: journal arena count overruns the chunk"},
+        {"entries", journal_at + 7, 1, varintBytes(kHuge),
+         "snapshot: journal entry count overruns the chunk"},
+        {"bram", bram_at, 8, u64Bytes(kHuge),
+         "snapshot: BRAM block count overruns the chunk"},
+        {"varint", journal_at, 1,
+         std::vector<std::uint8_t>(11, 0x80),
+         "snapshot: varint overruns 10 bytes / 64 bits"},
+    };
+    for (const Case &c : cases) {
+        const pu::Expected<void> restored =
+            restoreSpliced(c.at, c.width, c.with);
+        ASSERT_FALSE(restored.ok()) << c.what;
+        EXPECT_EQ(restored.error(), c.error) << c.what;
     }
 }
 
