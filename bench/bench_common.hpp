@@ -32,7 +32,7 @@ int parseWorkers(int argc, char **argv);
 long parseLongFlag(int argc, char **argv, const char *flag,
                    long fallback, long min_value = 1);
 
-/** True when a bare boolean flag (e.g. `--journal-stress`) is
+/** True when a bare boolean flag (e.g. `--resume`) is
  *  present. */
 bool hasFlag(int argc, char **argv, const char *flag);
 

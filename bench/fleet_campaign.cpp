@@ -114,7 +114,6 @@ printUsage(std::FILE *out)
         "  --seed S              campaign seed (default %llu)\n"
         "  --workers N           parallel lanes for the scan phase\n"
         "  --csv PATH            write per-board attack scores as CSV\n"
-        "  --journal-stress      daily burn rotations + coverage check\n"
         "  --checkpoint-every N  checkpoint every N simulated days\n"
         "  --checkpoint-path P   checkpoint file (default %s)\n"
         "  --resume              continue from the latest good "
@@ -148,8 +147,7 @@ argsAreKnown(int argc, char **argv)
         "--workers", "--csv",   "--checkpoint-every",
         "--checkpoint-path",    "--halt-at-day",
         "--day-sleep-ms",       "--bram-scrub"};
-    static const char *kBareFlags[] = {"--journal-stress", "--resume",
-                                       "--bram"};
+    static const char *kBareFlags[] = {"--resume", "--bram"};
     for (int i = 1; i < argc; ++i) {
         bool known = false;
         for (const char *flag : kValueFlags) {
@@ -229,7 +227,7 @@ printBramSummary(const serve::FleetScanResult &result)
 
 void
 printSummary(const serve::FleetScanResult &result, std::size_t fleet,
-             bool journal_stress, double wall_s, int argc, char **argv)
+             double wall_s, int argc, char **argv)
 {
     std::printf("  fleet                 %zu boards\n", fleet);
     std::printf("  simulated             %.0f h (%.1f board-years)\n",
@@ -260,12 +258,6 @@ printSummary(const serve::FleetScanResult &result, std::size_t fleet,
         std::printf("  %-12s %8zu %9.1f%%\n", "overall", bits,
                     100.0 * static_cast<double>(correct) /
                         static_cast<double>(bits));
-    }
-    if (journal_stress) {
-        std::printf("\n  journal stress        %zu deferred elements "
-                    "replayed across %zu boards, coverage exact\n",
-                    static_cast<std::size_t>(result.stress_elements),
-                    static_cast<std::size_t>(result.stress_boards));
     }
     if (!result.bram_boards.empty()) {
         printBramSummary(result);
@@ -316,15 +308,6 @@ main(int argc, char **argv)
         printUsage(stderr);
         return 2;
     }
-    // --journal-stress exercises the activity journal at fleet scale:
-    // every active tenancy rotates its burn values daily (in-place
-    // design mutations, journaled as O(1) flips on unobserved
-    // boards), and after the scan the unmeasured boards' deferred
-    // populations are force-materialised and cross-checked against
-    // the imprinted listing. Perturbs the aging histories, so the
-    // committed CSV golden only applies without the flag.
-    const bool journal_stress =
-        bench::hasFlag(argc, argv, "--journal-stress");
     const bool resume = bench::hasFlag(argc, argv, "--resume");
     const bool bram = bench::hasFlag(argc, argv, "--bram");
     const std::string bram_scrub_name =
@@ -371,7 +354,6 @@ main(int argc, char **argv)
     // This bench's historical draw sequence (fixed driver stream,
     // "tenant_" naming) is locked by the committed golden CSV.
     config.golden_compat = true;
-    config.journal_stress = journal_stress;
     config.bram_channel = bram;
     config.bram_scrub = bram_scrub;
     config.halt_at_day = static_cast<int>(halt_at_day);
@@ -418,6 +400,6 @@ main(int argc, char **argv)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    printSummary(result, kFleet, journal_stress, wall_s, argc, argv);
+    printSummary(result, kFleet, wall_s, argc, argv);
     return 0;
 }

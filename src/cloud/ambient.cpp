@@ -7,6 +7,13 @@
 
 namespace pentimento::cloud {
 
+namespace {
+
+/** Ambient event cadence, hours: one OU draw per simulated hour. */
+constexpr double kEventH = 1.0;
+
+} // namespace
+
 AmbientModel::AmbientModel(AmbientParams params, util::Rng rng)
     : params_(params), rng_(rng), temp_k_(params.mean_k)
 {
@@ -16,14 +23,9 @@ AmbientModel::AmbientModel(AmbientParams params, util::Rng rng)
     if (params_.reversion_per_h < 0.0 || params_.sigma_k < 0.0) {
         util::fatal("AmbientModel: negative process parameter");
     }
-    if (!(params_.event_every_h > 0.0) ||
-        !std::isfinite(params_.event_every_h)) {
-        util::fatal("AmbientModel: event cadence must be positive");
-    }
-    // Exact OU discretisation over one event interval: the stationary
-    // sd equals sigma_k regardless of cadence. Same expressions the
-    // per-step walk evaluated per call, hoisted to construction.
-    decay_ = std::exp(-params_.reversion_per_h * params_.event_every_h);
+    // Exact OU discretisation over one event interval, so the
+    // stationary sd equals sigma_k.
+    decay_ = std::exp(-params_.reversion_per_h * kEventH);
     noise_sd_ = params_.sigma_k * std::sqrt(1.0 - decay_ * decay_);
 }
 
@@ -38,13 +40,13 @@ AmbientModel::targetEvents() const
     // its draw, so at clock t every event with boundary strictly
     // below t plus the one covering t itself has fired.
     return static_cast<std::uint64_t>(
-        std::ceil(t / params_.event_every_h));
+        std::ceil(t / kEventH));
 }
 
 double
 AmbientModel::hoursUntilBoundary() const
 {
-    const double e = params_.event_every_h;
+    const double e = kEventH;
     const double t = clock_h_.value();
     const double cells = std::floor(t / e);
     double span = (cells + 1.0) * e - t;
@@ -105,7 +107,6 @@ AmbientModel::saveState(util::SnapshotWriter &writer) const
     writer.f64(params_.mean_k);
     writer.f64(params_.reversion_per_h);
     writer.f64(params_.sigma_k);
-    writer.f64(params_.event_every_h);
     writer.f64(temp_k_);
     writer.f64(clock_h_.rawSum());
     writer.f64(clock_h_.rawCompensation());
@@ -124,7 +125,6 @@ AmbientModel::restoreState(util::SnapshotReader &reader)
     const double mean_k = reader.f64();
     const double reversion = reader.f64();
     const double sigma_k = reader.f64();
-    const double cadence = reader.f64();
     const double temp_k = reader.f64();
     const double clock_sum = reader.f64();
     const double clock_comp = reader.f64();
@@ -140,8 +140,7 @@ AmbientModel::restoreState(util::SnapshotReader &reader)
     }
     if (mean_k != params_.mean_k ||
         reversion != params_.reversion_per_h ||
-        sigma_k != params_.sigma_k ||
-        cadence != params_.event_every_h) {
+        sigma_k != params_.sigma_k) {
         reader.fail("snapshot: ambient parameter fingerprint mismatch");
         return false;
     }

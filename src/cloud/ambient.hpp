@@ -9,17 +9,16 @@
  * which is what turns the clean Figure 6 curves into the noisier
  * Figure 7/8 ones.
  *
- * Event-driven trace (PR 4): the process is sampled only at *ambient
- * events*, a fixed grid at multiples of `event_every_h` on the model's
- * own clock, using the exact OU transition over one event interval.
+ * Event-driven trace: the process is sampled only at *ambient events*,
+ * a fixed hourly grid on the model's own clock, using the exact OU
+ * transition over one event interval.
  * The ambient is piecewise constant between events, and the k-th draw
  * is a pure function of the model's seed and the event index k (the
  * draws come from a private stream consumed strictly in event order),
  * so any partition of a span into advance() calls — hourly steps, one
  * multi-day jump, random dyadic splits — crosses the same events and
- * produces the bit-identical temperature sequence. Under the default
- * hourly cadence this reproduces the draw-per-hour sequences of the
- * previous per-step walk exactly.
+ * produces the bit-identical temperature sequence, the same one a
+ * draw-per-hour walk gives.
  *
  * advance() is O(1) bookkeeping: the draws for crossed events are
  * deferred until something observes the temperature (ambientK()), so
@@ -51,12 +50,6 @@ struct AmbientParams
     double reversion_per_h = 0.25;
     /** Stationary standard deviation, kelvin. */
     double sigma_k = 1.6;
-    /**
-     * Ambient event cadence, hours. The process changes value only at
-     * multiples of this interval; the default preserves the hourly
-     * draw sequence of the historical per-hour walk bit for bit.
-     */
-    double event_every_h = 1.0;
 };
 
 /**
@@ -96,9 +89,6 @@ class AmbientModel
     {
         return targetEvents() - committed_;
     }
-
-    /** Event cadence, hours. */
-    double eventCadenceH() const { return params_.event_every_h; }
 
     /**
      * Hours from the current clock to the end of the current event

@@ -31,10 +31,9 @@ FpgaInstance::walkSpans(double hours, double step_h,
 {
     // One iteration per span over which everything is constant: the
     // ambient (between events), the dissipated power, and therefore
-    // the segment's Arrhenius context. Under the default hourly
-    // cadence and hourly stepping this reproduces the historical
-    // per-hour walk bit for bit — same draw per hour, same package
-    // relaxation, same per-hour segment.
+    // the segment's Arrhenius context. Under hourly stepping this is
+    // the per-hour walk bit for bit: one ambient draw, one package
+    // relaxation and one segment per hour.
     const fabric::Design *design = device_.currentDesign();
     const double power = design != nullptr ? design->powerW() : 0.0;
     double remaining = hours;

@@ -166,7 +166,7 @@ class CloudPlatform
     /**
      * Advance the whole region: every card ages under its loaded
      * design (or recovers when idle). The per-card walk is event-
-     * driven: ambient events (hourly by default) bound the spans, and
+     * driven: hourly ambient events bound the spans, and
      * each span costs one package-model relaxation plus one O(1)
      * timeline segment. Idle pooled stock skips even that — the walk
      * is deferred in O(1) per call and replayed only when a board is

@@ -201,9 +201,8 @@ ExperimentResult runExperiment3(const Experiment3Config &config);
  * board idle — and nobody measures anything until the very end, when
  * the last `observe_last` tenancies' routes are bound and read. The
  * run is a pure function of the config (every draw comes from `seed`),
- * so its outputs serve as regression goldens, as the eager-vs-lazy
- * equivalence fixture (set device.eager_materialisation and compare
- * bitwise), and as the BM_TenancyTurnover microbench body.
+ * so its outputs serve as regression goldens and as the shape of
+ * journal_test's eager-vs-lazy comparison.
  */
 struct TenancyChurnConfig
 {

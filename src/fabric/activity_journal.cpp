@@ -207,7 +207,6 @@ ActivityJournal::saveState(util::SnapshotWriter &writer) const
     };
     writer.varint(index_.size());
     writer.varint(active_);
-    writer.u32(cached_min_);
     writer.varint(arena_.size());
     for (const Node &node : arena_) {
         saveRun(node.run);
@@ -234,17 +233,23 @@ ActivityJournal::saveState(util::SnapshotWriter &writer) const
 }
 
 bool
-ActivityJournal::restoreState(util::SnapshotReader &reader)
+ActivityJournal::restoreState(util::SnapshotReader &reader,
+                              std::uint64_t positions)
 {
-    const auto readRun = [&reader]() {
+    // A run may start at most at the restored timeline's end: replay
+    // reads the closed segments between consecutive run starts.
+    const std::uint64_t max_from = std::min<std::uint64_t>(
+        positions, std::numeric_limits<std::uint32_t>::max());
+    const auto readRun = [&reader, max_from]() {
         const std::uint64_t from = reader.varint();
         const std::uint8_t kind = reader.u8();
         const double duty_one =
             (kind & kHalfDuty) != 0 ? 0.5 : reader.f64();
         const std::uint8_t activity = kind & ~kHalfDuty;
         if (reader.ok() &&
-            (from > std::numeric_limits<std::uint32_t>::max() ||
-             activity > static_cast<std::uint8_t>(Activity::Toggle))) {
+            (from > max_from ||
+             activity > static_cast<std::uint8_t>(Activity::Toggle) ||
+             !(duty_one >= 0.0 && duty_one <= 1.0))) {
             reader.fail("snapshot: journal run is out of range");
         }
         return RawRun{static_cast<std::uint32_t>(from),
@@ -253,7 +258,6 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
 
     const std::uint64_t index_size = reader.varint();
     const std::uint64_t active = reader.varint();
-    const std::uint32_t cached_min = reader.u32();
     const std::uint64_t arena_size = reader.varint();
     if (reader.ok() && arena_size > reader.remaining() / kMinNodeBytes) {
         reader.fail("snapshot: journal arena count overruns the chunk");
@@ -303,16 +307,20 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
     // A spilled chain must run head → tail through exactly count - 2
     // nodes no other chain owns, then end: consume() and rebase()
     // walk it to kNpos, so a cycle would never end and a shared node
-    // would be rebased twice.
+    // would be rebased twice. Its runs must continue the inline ones
+    // in timeline order, as replay expects.
     std::vector<std::uint8_t> owned(arena_size);
     const auto claimChain = [&](const Entry &entry) {
         std::uint32_t node = entry.head;
         std::uint32_t last = kNpos;
+        std::uint32_t from = entry.runs[1].from;
         for (std::uint32_t k = 2; k < entry.count; ++k) {
-            if (node >= arena_size || owned[node] != 0) {
+            if (node >= arena_size || owned[node] != 0 ||
+                arena[node].run.from < from) {
                 return false;
             }
             owned[node] = 1;
+            from = arena[node].run.from;
             last = node;
             node = arena[node].next;
         }
@@ -333,6 +341,11 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
             entry.runs[0] = readRun();
             if (count >= 2) {
                 entry.runs[1] = readRun();
+                if (reader.ok() &&
+                    entry.runs[1].from < entry.runs[0].from) {
+                    reader.fail("snapshot: journal runs are out of "
+                                "order");
+                }
             }
             if (count > 2) {
                 entry.head = static_cast<std::uint32_t>(
@@ -369,7 +382,6 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
     }
     arena_ = std::move(arena);
     active_ = active;
-    cached_min_ = cached_min;
     return true;
 }
 

@@ -164,23 +164,27 @@ class ActivityJournal
 
     /**
      * Serialize the journal into the writer's current chunk: index
-     * size, active count and memoised compaction pin, the spill arena
-     * with its chain links, then every entry in order (spent markers
-     * included — recording against a consumed key must still be
-     * detected after a restore). Counts and positions are LEB128
-     * varints, and a run's duty is written only when it is not 0.5.
+     * size, active count, the spill arena with its chain links, then
+     * every entry in order (spent markers included — recording
+     * against a consumed key must still be detected after a restore).
+     * Counts and positions are LEB128 varints, and a run's duty is
+     * written only when it is not 0.5. The compaction pin is a memo
+     * and is not saved: a restored journal recomputes it.
      */
     void saveState(util::SnapshotWriter &writer) const;
 
     /**
      * Restore into a fresh journal from the reader's current chunk
-     * and rebuild the index at the saved size. Structural corruption
-     * (a duplicate key, an index too small or too large for its
-     * entries, a broken chain link, an impossible count, a bad
-     * varint) poisons the reader and leaves the journal empty;
+     * and rebuild the index at the saved size. `positions` is the
+     * restored timeline's closed-segment count. Corruption (a
+     * duplicate key, an index too small or too large for its entries,
+     * a broken chain link, an impossible count, a bad varint, a run
+     * past `positions` or out of order within its key, a duty outside
+     * [0, 1]) poisons the reader and leaves the journal empty;
      * returns ok().
      */
-    bool restoreState(util::SnapshotReader &reader);
+    bool restoreState(util::SnapshotReader &reader,
+                      std::uint64_t positions);
 
   private:
     static constexpr std::uint32_t kNpos =

@@ -420,10 +420,10 @@ Device::loadDesign(std::shared_ptr<const Design> design)
         // survive and neither the timeline nor the epoch moves.
         return;
     }
-    // applyDesignActivity resolves (and thereby materialises) every
-    // element the design configures, so aging accrues from the moment
-    // the design starts running — a victim's routes must burn in even
-    // if nothing ever reads their delay.
+    // applyDesignActivity flips every element the design configures
+    // (materialised ones in place, the rest in the journal), so aging
+    // accrues from the moment the design starts running — a victim's
+    // routes must burn in even if nothing ever reads their delay.
     design_ = std::move(design);
     applyDesignActivity();
     // A real (re)configuration zeroes BRAM and lands the new design's
@@ -524,9 +524,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
 {
     // Resolution splits the configured keys into cohorts: elements
     // already in the slab resolve to handles, the rest stay packed
-    // keys for the journal. Under eager_materialisation every key is
-    // bound here instead (the pre-journal behaviour), so the deferred
-    // cohort is empty and nothing downstream ever journals.
+    // keys for the journal.
     *records_applied = false;
     for (const auto &entry : resolved_designs_) {
         if (entry == nullptr || entry->design != design_ ||
@@ -587,13 +585,6 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     entry->activities.reserve(map.size());
     entry->deferred_order.reserve(map.size());
     for (const auto &[key, activity] : map) {
-        if (config_.eager_materialisation) {
-            entry->activities.push_back(activity);
-            entry->handles.push_back(
-                bindElement(ResourceId::fromKey(key)));
-            entry->deferred_order.push_back(false);
-            continue;
-        }
         const ElementHandle h = store_.findExclusive(key);
         if (h != kInvalidElement) {
             entry->activities.push_back(activity);
@@ -887,7 +878,6 @@ Device::saveState(util::SnapshotWriter &writer) const
     writer.u32(config_.tiles_x);
     writer.u32(config_.tiles_y);
     writer.u32(config_.nodes_per_tile);
-    writer.u8(config_.eager_materialisation ? 1 : 0);
     // Retention identity: the per-block limits are pure draws from
     // (seed, median, sigma), so a knob skew would graft one board's
     // decay behaviour onto another's contents.
@@ -994,7 +984,6 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const std::uint32_t tiles_x = reader.u32();
     const std::uint32_t tiles_y = reader.u32();
     const std::uint32_t nodes_per_tile = reader.u32();
-    const bool eager = reader.u8() != 0;
     const double retention_median = reader.f64();
     const double retention_sigma = reader.f64();
     if (!reader.ok()) {
@@ -1004,7 +993,6 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
         service_age_h != config_.service_age_h ||
         tiles_x != config_.tiles_x || tiles_y != config_.tiles_y ||
         nodes_per_tile != config_.nodes_per_tile ||
-        eager != config_.eager_materialisation ||
         retention_median != config_.bram_retention_median_h ||
         retention_sigma != config_.bram_retention_sigma) {
         reader.fail("snapshot: device config fingerprint mismatch "
@@ -1020,6 +1008,11 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const std::uint64_t lut_cursor = reader.u64();
     const std::uint64_t compact_watermark = reader.u64();
     const bool design_was_loaded = reader.u8() != 0;
+    // kDvthNeverCached marks an empty ΔVth memo slot: at that epoch
+    // every empty slot would read as filled with pristine shifts.
+    if (reader.ok() && state_epoch == kDvthNeverCached) {
+        reader.fail("snapshot: device state epoch is out of range");
+    }
 
     const std::uint64_t closed_count = reader.u64();
     // Every count is bounded by the bytes left before it allocates:
@@ -1098,6 +1091,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
             return reader.status();
         }
         if (live_kind > static_cast<std::uint8_t>(Activity::Toggle) ||
+            !(live_duty >= 0.0 && live_duty <= 1.0) ||
             synced > closed_count) {
             reader.fail("snapshot: element activity bookkeeping is "
                         "out of range");
@@ -1127,7 +1121,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
         synced_.push_back(synced);
     }
 
-    if (!journal_.restoreState(reader)) {
+    if (!journal_.restoreState(reader, closed_count)) {
         return reader.status();
     }
     // The journal invariant — a key is active there XOR materialised —

@@ -11,7 +11,7 @@
  * so materialisation order never changes behaviour and two rentals of
  * the same board see the same silicon.
  *
- * Hot-path structure (PR 3, segment-timeline aging): advance() is
+ * Hot-path structure (segment-timeline aging): advance() is
  * O(1) — it appends a (duration, Arrhenius-context) segment to the
  * device's AgingTimeline instead of sweeping the slab. Each element
  * carries the activity in effect since its last sync and materialises
@@ -35,23 +35,22 @@
  * advance/loadDesign/wipe/applyServiceWear) keys their derived-value
  * caches exactly as before.
  *
- * Tenancy structure (PR 5, activity journal): loadDesign()/wipe()
- * no longer materialise anything. A configured key whose element is
+ * Tenancy structure (activity journal): loadDesign()/wipe()
+ * materialise nothing. A configured key whose element is
  * not yet in the slab gets its activity flips recorded in the
  * ActivityJournal — one O(1) run append per flip, no variation
  * sampling, no slab insert, no replay — and the element materialises
  * only at first observation (bindElement), replaying its journal runs
  * against the timeline with exactly the per-segment / pre-reduced
- * arithmetic the eager path would have used at each flip. Aged delays
- * are bit-identical to eager materialisation (locked by journal_test
- * and the regression goldens); only materialisation diagnostics
+ * arithmetic an element bound at load would have used at each flip.
+ * Aged delays are bit-identical to that eager reference (the tests
+ * build it by binding every configured key right after each load and
+ * mutation, and compare bitwise); only materialisation diagnostics
  * (materializedCount, findElement before observation) can tell the
  * difference. Whole-tenancy turnover on never-measured boards is
  * thereby O(configured keys) of hash appends instead of
  * O(configured keys) of element construction + replay — and a board
  * is only charged for silicon someone actually looks at.
- * DeviceConfig::eager_materialisation restores the eager path (the
- * equivalence tests run both and compare bitwise).
  */
 
 #ifndef PENTIMENTO_FABRIC_DEVICE_HPP
@@ -133,15 +132,6 @@ struct DeviceConfig
     double bram_retention_median_h = 0.05;
     /** Lognormal sigma of the per-block retention draw. */
     double bram_retention_sigma = 1.0;
-    /**
-     * Materialise every configured element at design load (the
-     * pre-journal behaviour) instead of deferring to first
-     * observation. Aged delays are bit-identical either way — the
-     * equivalence test battery runs both and compares — so this
-     * exists for those tests and for eager-vs-lazy benchmarking, not
-     * for correctness. Fixed at construction.
-     */
-    bool eager_materialisation = false;
 };
 
 /**
@@ -185,7 +175,7 @@ class Device
     std::size_t materializedCount() const { return store_.size(); }
 
     /** Number of configured-but-unmaterialised (journal-deferred)
-     *  elements. Always 0 under eager_materialisation. */
+     *  elements. */
     std::size_t journaledKeyCount() const
     {
         return journal_.activeKeyCount();
@@ -274,8 +264,7 @@ class Device
      * imprint: the materialised set plus the journal-deferred set,
      * sorted by packed key. This is what a provider-side scrub must
      * drive — materializedIds() alone would miss elements whose
-     * tenancies were never measured. Identical to materializedIds()
-     * under eager_materialisation.
+     * tenancies were never measured.
      */
     std::vector<ResourceId> imprintedIds() const;
 
@@ -488,9 +477,7 @@ class Device
     /**
      * A design's activity map split into cohorts: keys whose elements
      * are materialised resolve to dense handles; the rest stay packed
-     * keys destined for the journal (under eager_materialisation the
-     * deferred cohort is always empty — resolution materialises).
-     * Cached per (design identity, revision, slab size) so the
+     * keys destined for the journal. Cached per (design identity, revision, slab size) so the
      * attack-phase measure/park alternation — the same two designs
      * swapped every sweep — never re-hashes a thousand resource keys
      * per load; any materialisation grows the slab and so invalidates

@@ -70,8 +70,6 @@ struct Active
     /** Day the tenant design was created — its identity, for resume. */
     int start_day = 0;
     Tenancy record;
-    /** Kept only under journal_stress, for daily burn rotations. */
-    std::shared_ptr<fabric::TargetDesign> target;
 };
 
 /** Everything the day loop owns; what a checkpoint must capture. */
@@ -97,15 +95,6 @@ makeTenantDesign(const Tenancy &tenancy, int start_day, bool golden)
         (golden ? "tenant_" : "srv_tenant_") + tenancy.board + "_d" +
             std::to_string(start_day),
         tenancy.specs, tenancy.bits, arith);
-}
-
-/** The journal-stress rotation a tenancy carries on day `day`. */
-void
-applyRotation(const Active &a, int day)
-{
-    for (std::size_t i = 0; i < a.record.bits.size(); ++i) {
-        a.target->setBurnValue(i, (day % 2 == 0) == a.record.bits[i]);
-    }
 }
 
 void
@@ -191,7 +180,6 @@ saveCheckpoint(const CampaignState &state,
     writer.u64(config.routes_per_tenant);
     writer.u64(config.max_measured);
     writer.u8(config.golden_compat ? 1 : 0);
-    writer.u8(config.journal_stress ? 1 : 0);
     writer.u8(config.bram_channel ? 1 : 0);
     writer.u8(static_cast<std::uint8_t>(config.bram_scrub));
     writer.endChunk();
@@ -252,7 +240,6 @@ restoreCampaignFrom(const std::string &path,
     const std::uint64_t routes = reader.u64();
     const std::uint64_t measured = reader.u64();
     const bool saved_golden = reader.u8() != 0;
-    const bool saved_stress = reader.u8() != 0;
     const bool saved_bram = reader.u8() != 0;
     const std::uint8_t saved_scrub = reader.u8();
     if (!reader.leaveChunk()) {
@@ -263,7 +250,6 @@ restoreCampaignFrom(const std::string &path,
         routes != config.routes_per_tenant ||
         measured != config.max_measured ||
         saved_golden != config.golden_compat ||
-        saved_stress != config.journal_stress ||
         saved_bram != config.bram_channel ||
         saved_scrub != static_cast<std::uint8_t>(config.bram_scrub)) {
         return util::unexpected(
@@ -319,14 +305,13 @@ restoreCampaignFrom(const std::string &path,
     state.rng.setState(rng);
 
     // Designs are code, not board state: rebuild each active tenant's
-    // design (with the rotation parity it carried at save time, under
-    // journal_stress) and re-load it. The restored board's activity
-    // state already matches, so the load is flip- and draw-neutral.
+    // design and re-load it. The restored board's activity state
+    // already matches, so the load is flip- and draw-neutral.
     if (boards_with_design.size() != state.active.size()) {
         return util::unexpected(
             "checkpoint: design residency does not match the ledger");
     }
-    for (Active &a : state.active) {
+    for (const Active &a : state.active) {
         bool listed = false;
         for (const std::string &board : boards_with_design) {
             if (board == a.board) {
@@ -339,19 +324,11 @@ restoreCampaignFrom(const std::string &path,
                                     a.board +
                                     "' has no resident design");
         }
-        std::shared_ptr<fabric::TargetDesign> target =
-            makeTenantDesign(a.record, a.start_day,
-                             config.golden_compat);
-        a.target = target;
-        if (config.journal_stress) {
-            applyRotation(a, state.next_day - 1);
-        }
-        if (!state.platform->loadDesign(a.board, target).empty()) {
+        const auto design = makeTenantDesign(a.record, a.start_day,
+                                             config.golden_compat);
+        if (!state.platform->loadDesign(a.board, design).empty()) {
             return util::unexpected(
                 "checkpoint: reconstructed tenant design failed DRC");
-        }
-        if (!config.journal_stress) {
-            a.target = nullptr;
         }
     }
     return state;
@@ -628,18 +605,8 @@ runFleetScan(const FleetScanConfig &config)
             const double duration_h =
                 24.0 *
                 static_cast<double>(state.rng.uniformInt(2, 14));
-            state.active.push_back(
-                Active{*board, now + duration_h, day,
-                       std::move(tenancy),
-                       config.journal_stress ? target : nullptr});
-        }
-        if (config.journal_stress) {
-            // Daily inversion-mitigation-style rotation on every
-            // active tenancy: in-place mutations the devices fold in
-            // as journal flips at the next advance.
-            for (const Active &a : state.active) {
-                applyRotation(a, day);
-            }
+            state.active.push_back(Active{*board, now + duration_h, day,
+                                          std::move(tenancy)});
         }
         platform.advanceHours(24.0);
 
@@ -732,42 +699,6 @@ runFleetScan(const FleetScanConfig &config)
         platform.release(board);
     }
     result.bram_scrub_ops = platform.bramScrubOps();
-
-    // ---- journal coverage check (journal_stress) ------------------
-    // Force-materialise every board's deferred population and verify
-    // it converges exactly to the imprinted listing: a year of
-    // journaled tenancies (with daily mitigation flips) must replay
-    // without losing or inventing a single element.
-    if (config.journal_stress) {
-        for (const std::string &id : platform.allInstanceIds()) {
-            fabric::Device &device = platform.instance(id).device();
-            const std::size_t deferred = device.journaledKeyCount();
-            if (deferred == 0) {
-                continue;
-            }
-            const std::vector<fabric::ResourceId> imprinted =
-                device.imprintedIds();
-            for (const fabric::ResourceId &rid : imprinted) {
-                (void)device.element(rid); // materialise + replay
-            }
-            const std::vector<fabric::ResourceId> materialized =
-                device.materializedIds();
-            bool converged =
-                device.journaledKeyCount() == 0 &&
-                materialized.size() == imprinted.size();
-            for (std::size_t i = 0; converged && i < imprinted.size();
-                 ++i) {
-                converged =
-                    materialized[i].key() == imprinted[i].key();
-            }
-            if (!converged) {
-                util::fatal("fleet scan: journal coverage check "
-                            "failed on " + id);
-            }
-            ++result.stress_boards;
-            result.stress_elements += deferred;
-        }
-    }
     return result;
 }
 

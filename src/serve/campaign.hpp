@@ -74,8 +74,6 @@ struct FleetScanConfig
      * byte-for-byte with the committed golden CSV.
      */
     bool golden_compat = false;
-    /** Daily burn rotations + exact deferred-coverage check. */
-    bool journal_stress = false;
     /**
      * Run the BRAM content-remanence channel alongside the aging
      * channel: each tenancy writes one word per route into the

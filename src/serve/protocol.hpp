@@ -213,9 +213,6 @@ struct FleetScanResult
     std::uint64_t resumed_active = 0;
     /** Day the run halted at (halt_at_day; 0 = ran to completion). */
     int halted_after_day = 0;
-    /** Journal-stress counters (0/0 unless stress mode). */
-    std::uint64_t stress_boards = 0;
-    std::uint64_t stress_elements = 0;
     /** BRAM-channel per-board readouts (bram_channel runs only). */
     std::vector<FleetScanBramScore> bram_boards;
     /** Provider BRAM scrubs performed over the whole campaign. */

@@ -40,7 +40,7 @@
 namespace pentimento::util {
 
 /** Format version written to and required from every snapshot. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Pack a 4-char chunk tag ("BRD!") into its on-disk u32. */
 constexpr std::uint32_t

@@ -46,6 +46,8 @@
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
 
+#include "eager_reference.hpp"
+
 namespace pcl = pentimento::cloud;
 namespace pco = pentimento::core;
 namespace pf = pentimento::fabric;
@@ -348,10 +350,15 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
     pcl::PlatformConfig config = pco::awsF1Region(31);
     config.fleet_size = 1;
     config.active_scrub = active_scrub;
-    config.device_template.eager_materialisation = eager;
     pcl::CloudPlatform platform(config);
     const auto id = platform.rent();
     pf::Device &device = platform.instance(*id).device();
+    // The eager reference binds whatever the platform left resident.
+    const auto bindIfEager = [&] {
+        if (eager) {
+            pentimento::testing::bindResident(device);
+        }
+    };
     const pf::RouteSpec net = device.allocateRoute("net", 4000.0);
     auto victim = std::make_shared<pf::Design>("victim");
     victim->setRouteValue(net, true);
@@ -359,8 +366,10 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
         ADD_FAILURE() << "victim design failed DRC";
         return 0.0;
     }
+    bindIfEager();
     platform.advanceHours(50.0);
     platform.release(*id); // active_scrub loads the pooled scrub design
+    bindIfEager();
     if (pool_hours > 0.0) {
         platform.advanceHours(pool_hours);
     }
@@ -371,6 +380,7 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
         ADD_FAILURE() << "re-rent failed";
         return 0.0;
     }
+    bindIfEager();
     platform.advanceHours(1.0);
     pf::Route route = device.bindRoute(net);
     return route.delayPs(pp::Transition::Falling, 333.15);

@@ -527,19 +527,6 @@ TEST(DeviceLifecycle, LoadDesignDefersMaterialisationToObservation)
     EXPECT_EQ(device.journaledKeyCount(), 0u);
 }
 
-TEST(DeviceLifecycle, EagerConfigMaterializesAtLoad)
-{
-    pf::DeviceConfig config = smallConfig();
-    config.eager_materialisation = true;
-    pf::Device device(config);
-    const pf::RouteSpec spec = device.allocateRoute("r", 500.0);
-    auto design = std::make_shared<pf::Design>("d");
-    design->setRouteValue(spec, true);
-    device.loadDesign(design);
-    EXPECT_EQ(device.materializedCount(), spec.size());
-    EXPECT_EQ(device.journaledKeyCount(), 0u);
-}
-
 TEST(DeviceLifecycle, NullDesignIsFatal)
 {
     pf::Device device(smallConfig());

@@ -1,11 +1,12 @@
 /**
  * @file
- * Equivalence battery for the activity journal (PR 5).
+ * Equivalence battery for the activity journal.
  *
  * The journal defers element materialisation from design load to
  * first observation; these tests lock the property that makes that
  * deferral legal: *aged delays are bit-identical to eager
- * materialisation*, for every schedule shape the engine uses —
+ * materialisation* (the bindResident reference of
+ * eager_reference.hpp), for every schedule shape the engine uses —
  * hourly stepping, single jumps, random dyadic partitions — across
  * mid-tenancy mitigation flips, design replacement without a wipe,
  * partial mid-tenancy observation, service wear, timeline compaction,
@@ -20,16 +21,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "cloud/instance.hpp"
+#include "cloud/platform.hpp"
 #include "core/experiment.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "util/rng.hpp"
+
+#include "eager_reference.hpp"
 
 namespace pc = pentimento::core;
 namespace pcl = pentimento::cloud;
@@ -39,14 +45,15 @@ namespace pu = pentimento::util;
 
 namespace {
 
+using pentimento::testing::bindResident;
+
 pf::DeviceConfig
-tinyConfig(bool eager)
+tinyConfig()
 {
     pf::DeviceConfig config;
     config.tiles_x = 8;
     config.tiles_y = 8;
     config.nodes_per_tile = 32;
-    config.eager_materialisation = eager;
     return config;
 }
 
@@ -95,7 +102,13 @@ dyadicStepper(std::uint64_t seed)
 std::vector<double>
 runTenancyScenario(bool eager, const Stepper &step)
 {
-    pf::Device device(tinyConfig(eager));
+    pf::Device device(tinyConfig());
+    const auto load = [&](std::shared_ptr<const pf::Design> design) {
+        device.loadDesign(std::move(design));
+        if (eager) {
+            bindResident(device);
+        }
+    };
     const pf::RouteSpec route_a = device.allocateRoute("a", 600.0);
     const pf::RouteSpec route_b = device.allocateRoute("b", 400.0);
     const pf::RouteSpec route_c = device.allocateRoute("c", 500.0);
@@ -104,19 +117,19 @@ runTenancyScenario(bool eager, const Stepper &step)
     auto design1 = std::make_shared<pf::Design>("t1");
     design1->setRouteValue(route_a, true);
     design1->setRouteToggling(route_b, 0.3);
-    device.loadDesign(design1);
+    load(design1);
     step(device, 37.0, 348.15);
     // Mid-tenancy mitigation flip: rotate the burn value in place and
     // re-load the (mutated) resident design.
     design1->setRouteValue(route_a, false);
-    device.loadDesign(design1);
+    load(design1);
     step(device, 20.0, 348.15);
     // Replace without wipe: b's release and c's configuration are one
     // boundary; a keeps its value across the replace (no flip).
     auto design2 = std::make_shared<pf::Design>("t2");
     design2->setRouteValue(route_a, false);
     design2->setRouteValue(route_c, true);
-    device.loadDesign(design2);
+    load(design2);
     step(device, 12.0, 351.4);
     // Partial observation mid-tenancy: c materialises (consuming its
     // journal) while a and b stay deferred in the lazy run.
@@ -159,23 +172,97 @@ TEST(JournalEquivalence, TenancyScenarioBitIdenticalAcrossSchedules)
     }
 }
 
+/**
+ * The pc::runTenancyChurn shape (fresh routes per tenancy, a
+ * mid-tenancy in-place burn rotation, a wipe and an idle pool span
+ * between tenancies, observation of the last tenancies only), driven
+ * with or without the eager reference.
+ */
+pc::TenancyChurnResult
+runChurnShape(const pc::TenancyChurnConfig &config, bool eager)
+{
+    pu::Rng rng(config.seed);
+    pf::Device device(config.device);
+    pf::ArithmeticHeavyConfig arith;
+    arith.dsp_count = config.dsp_count;
+    std::vector<std::vector<pf::RouteSpec>> history;
+    double elapsed = 0.0;
+    for (std::size_t t = 0; t < config.tenancies; ++t) {
+        std::vector<pf::RouteSpec> specs;
+        std::vector<bool> bits;
+        for (std::size_t r = 0; r < config.routes_per_tenant; ++r) {
+            specs.push_back(device.allocateRoute(
+                "churn_t" + std::to_string(t) + "_r" +
+                    std::to_string(r),
+                config.route_target_ps));
+            bits.push_back(rng.bernoulli(0.5));
+        }
+        auto target = std::make_shared<pf::TargetDesign>(
+            "churn_tenant_" + std::to_string(t), specs, bits, arith);
+        device.loadDesign(target);
+        if (eager) {
+            bindResident(device);
+        }
+        const double burn_h = static_cast<double>(rng.uniformInt(
+            static_cast<std::uint64_t>(config.burn_hours_min),
+            static_cast<std::uint64_t>(config.burn_hours_max)));
+        const double temp_k =
+            config.busy_temp_k +
+            0.25 * static_cast<double>(rng.uniformInt(0, 8));
+        device.advanceAt(burn_h / 2.0, temp_k);
+        if (config.midflip) {
+            for (std::size_t i = 0; i < bits.size(); ++i) {
+                target->setBurnValue(i, !bits[i]);
+            }
+            if (eager) {
+                bindResident(device);
+            }
+        }
+        device.advanceAt(burn_h / 2.0, temp_k);
+        device.wipe();
+        device.advanceAt(config.idle_hours, config.idle_temp_k);
+        elapsed += burn_h + config.idle_hours;
+        history.push_back(std::move(specs));
+    }
+    pc::TenancyChurnResult result;
+    const std::size_t observe =
+        std::min(config.observe_last, history.size());
+    for (std::size_t i = history.size() - observe; i < history.size();
+         ++i) {
+        for (const pf::RouteSpec &spec : history[i]) {
+            pf::Route route = device.bindRoute(spec);
+            result.observed_delays_ps.push_back(route.delayPs(
+                pp::Transition::Rising, config.busy_temp_k));
+            result.observed_delays_ps.push_back(route.delayPs(
+                pp::Transition::Falling, config.busy_temp_k));
+        }
+    }
+    result.materialized = device.materializedCount();
+    result.journaled = device.journaledKeyCount();
+    result.elapsed_h = elapsed;
+    return result;
+}
+
 TEST(JournalEquivalence, TenancyChurnScenarioMatchesEagerBitwise)
 {
-    // The shared churn fixture (mid-tenancy mitigation flips, fresh
-    // routes per tenancy, observation of the last two tenancies only)
-    // must not see the journal either.
-    pc::TenancyChurnConfig lazy;
-    pc::TenancyChurnConfig eager;
-    eager.device.eager_materialisation = true;
-    const pc::TenancyChurnResult a = pc::runTenancyChurn(lazy);
-    const pc::TenancyChurnResult b = pc::runTenancyChurn(eager);
-    EXPECT_EQ(a.observed_delays_ps, b.observed_delays_ps);
-    EXPECT_EQ(a.elapsed_h, b.elapsed_h);
+    // The shared churn fixture must not see the journal either. The
+    // lazy shape is first checked against pc::runTenancyChurn itself,
+    // so the eager comparison speaks for the library fixture.
+    const pc::TenancyChurnConfig config;
+    const pc::TenancyChurnResult fixture = pc::runTenancyChurn(config);
+    const pc::TenancyChurnResult lazy = runChurnShape(config, false);
+    const pc::TenancyChurnResult eager = runChurnShape(config, true);
+    EXPECT_EQ(lazy.observed_delays_ps, fixture.observed_delays_ps);
+    EXPECT_EQ(lazy.elapsed_h, fixture.elapsed_h);
+    EXPECT_EQ(lazy.materialized, fixture.materialized);
+    EXPECT_EQ(lazy.journaled, fixture.journaled);
+    EXPECT_EQ(eager.observed_delays_ps, lazy.observed_delays_ps);
+    EXPECT_EQ(eager.elapsed_h, lazy.elapsed_h);
     // Only the observed tenancies' elements materialised in the lazy
     // run; the eager run paid for every tenancy ever.
-    EXPECT_LT(a.materialized, b.materialized);
-    EXPECT_EQ(a.materialized + a.journaled, b.materialized);
-    EXPECT_EQ(b.journaled, 0u);
+    EXPECT_LT(lazy.materialized, eager.materialized);
+    EXPECT_EQ(lazy.materialized + lazy.journaled, eager.materialized);
+    EXPECT_EQ(eager.journaled, 0u);
 }
 
 TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
@@ -187,12 +274,15 @@ TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
     // prefix and must rebase the deferred positions — and the late
     // replay must still be bit-identical to eager.
     const auto run = [](bool eager) {
-        pf::Device device(tinyConfig(eager));
+        pf::Device device(tinyConfig());
         const pf::RouteSpec pinned = device.allocateRoute("p", 500.0);
         const pf::RouteSpec watched = device.allocateRoute("w", 500.0);
         auto design = std::make_shared<pf::Design>("d");
         design->setRouteValue(watched, false);
         device.loadDesign(design);
+        if (eager) {
+            bindResident(device);
+        }
         pf::Route bound = device.bindRoute(watched);
         std::vector<double> out;
         for (int seg = 0; seg < 100; ++seg) {
@@ -205,6 +295,9 @@ TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
         // Late in-place configuration: the journal run starts ~100
         // segments in (folded at the next recorded span).
         design->setRouteValue(pinned, true);
+        if (eager) {
+            bindResident(device);
+        }
         for (int seg = 0; seg < 120; ++seg) {
             device.advanceAt(1.0, 340.0 + 0.01 * seg);
             if (seg % 10 == 0) {
@@ -231,7 +324,7 @@ TEST(JournalEquivalence, ReserveAfterLoadInvalidatesResolutionRefresh)
     // (Found by review: without the keyset bump the delays silently
     // diverge.)
     const auto run = [](bool reserve_between) {
-        pf::Device device(tinyConfig(false));
+        pf::Device device(tinyConfig());
         std::vector<pf::RouteSpec> routes;
         auto design = std::make_shared<pf::Design>("d");
         for (int r = 0; r < 6; ++r) {
@@ -275,7 +368,7 @@ TEST(JournalLaziness, LoadWipeChurnTouchesNoElements)
 
 TEST(JournalLaziness, ImprintedIdsListsDeferredAndMaterialised)
 {
-    pf::Device device(tinyConfig(false));
+    pf::Device device(tinyConfig());
     const pf::RouteSpec burned = device.allocateRoute("x", 500.0);
     const pf::RouteSpec seen = device.allocateRoute("y", 500.0);
     auto design = std::make_shared<pf::Design>("d");
@@ -307,7 +400,7 @@ std::vector<double>
 runCloudScenario(bool eager)
 {
     pcl::AmbientParams ambient;
-    pcl::FpgaInstance inst("fpga-jx", tinyConfig(eager), ambient,
+    pcl::FpgaInstance inst("fpga-jx", tinyConfig(), ambient,
                            pu::Rng(909));
     pf::Device &device = inst.device();
     const pf::RouteSpec spec = device.allocateRoute("r", 800.0);
@@ -316,6 +409,9 @@ runCloudScenario(bool eager)
     design->setRouteValue(spec, true);
     design->setPowerW(20.0);
     device.loadDesign(design);
+    if (eager) {
+        bindResident(device);
+    }
     inst.advanceHours(24.0); // computing (eager walk)
     device.wipe();
     inst.advanceHours(72.0); // pooled again
@@ -333,7 +429,7 @@ TEST(JournalCloudDeferral, CreditIdleHoursComposesWithJournal)
 TEST(JournalCloudDeferral, IdleBacklogStaysDeferredUntilObservation)
 {
     pcl::AmbientParams ambient;
-    pcl::FpgaInstance inst("fpga-jy", tinyConfig(false), ambient,
+    pcl::FpgaInstance inst("fpga-jy", tinyConfig(), ambient,
                            pu::Rng(910));
     // Allocation is pure bookkeeping: no observation, no flush.
     pf::RouteSpec spec;
@@ -362,6 +458,118 @@ TEST(JournalCloudDeferral, IdleBacklogStaysDeferredUntilObservation)
     EXPECT_GT(route.btiShiftPs(pp::Transition::Falling), 0.0);
     EXPECT_DOUBLE_EQ(inst.deferredIdleHours(), 0.0);
     EXPECT_EQ(device.journaledKeyCount(), 0u);
+}
+
+// ------------------------------------------- fleet-scale stress
+
+TEST(JournalStress, FleetYearOfDailyRotationsCoversExactly)
+{
+    // The fleet campaign's tenancy shape for a year (112 boards, LIFO
+    // re-rental, about a third of the fleet rented, 8 fresh 2000 ps
+    // routes plus a 128-DSP filler per tenancy, 2-14 day tenancies),
+    // with every active tenancy's burn values rotated in place each
+    // day, and nobody measuring anything. Then every board's owed
+    // population is force-materialised: the journal must replay into
+    // exactly the imprinted listing, losing or inventing no element.
+    constexpr std::size_t kFleet = 112;
+    constexpr int kDays = 365;
+    constexpr std::size_t kRoutes = 8;
+    pcl::PlatformConfig config;
+    config.fleet_size = kFleet;
+    config.region = "fleet-sim";
+    config.policy = pcl::AllocationPolicy::MostRecentlyReleased;
+    config.seed = 90902;
+    pcl::CloudPlatform platform(config);
+    pf::ArithmeticHeavyConfig arith;
+    arith.dsp_count = 128;
+
+    struct Tenancy
+    {
+        std::string board;
+        double ends_at_h;
+        std::vector<bool> bits;
+        std::shared_ptr<pf::TargetDesign> target;
+    };
+    std::vector<Tenancy> active;
+    pu::Rng rng(424261);
+    std::set<std::string> rented;
+    std::size_t route_elements = 0;
+    for (int day = 0; day < kDays; ++day) {
+        const double now = platform.nowHours();
+        for (std::size_t i = active.size(); i-- > 0;) {
+            if (active[i].ends_at_h <= now) {
+                platform.release(active[i].board);
+                active.erase(active.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+            }
+        }
+        while (active.size() < kFleet / 3 && rng.bernoulli(0.35)) {
+            const auto board = platform.rent();
+            if (!board) {
+                break;
+            }
+            pf::Device &device = platform.instance(*board).device();
+            std::vector<pf::RouteSpec> specs;
+            std::vector<bool> bits;
+            for (std::size_t r = 0; r < kRoutes; ++r) {
+                specs.push_back(device.allocateRoute(
+                    *board + "_d" + std::to_string(day) + "_r" +
+                        std::to_string(r),
+                    2000.0));
+                route_elements += specs.back().size();
+                bits.push_back(rng.bernoulli(0.5));
+            }
+            auto target = std::make_shared<pf::TargetDesign>(
+                "tenant_" + *board + "_d" + std::to_string(day), specs,
+                bits, arith);
+            ASSERT_TRUE(platform.loadDesign(*board, target).empty());
+            const double duration_h =
+                24.0 * static_cast<double>(rng.uniformInt(2, 14));
+            active.push_back(
+                Tenancy{*board, now + duration_h, std::move(bits),
+                        std::move(target)});
+            rented.insert(*board);
+        }
+        // Inversion-mitigation-style rotation: in-place mutations the
+        // boards fold in as journal flips at the next advance.
+        for (const Tenancy &t : active) {
+            for (std::size_t i = 0; i < t.bits.size(); ++i) {
+                t.target->setBurnValue(i, (day % 2 == 0) == t.bits[i]);
+            }
+        }
+        platform.advanceHours(24.0);
+    }
+    for (const Tenancy &t : active) {
+        platform.release(t.board);
+    }
+
+    std::size_t boards = 0;
+    std::size_t replayed = 0;
+    for (const std::string &id : platform.allInstanceIds()) {
+        pf::Device &device = platform.instance(id).device();
+        const std::size_t deferred = device.journaledKeyCount();
+        if (deferred == 0) {
+            continue;
+        }
+        const std::vector<pf::ResourceId> imprinted =
+            device.imprintedIds();
+        for (const pf::ResourceId &rid : imprinted) {
+            (void)device.element(rid); // materialise + replay
+        }
+        const std::vector<pf::ResourceId> materialized =
+            device.materializedIds();
+        EXPECT_EQ(device.journaledKeyCount(), 0u) << id;
+        ASSERT_EQ(materialized.size(), imprinted.size()) << id;
+        for (std::size_t i = 0; i < imprinted.size(); ++i) {
+            ASSERT_EQ(materialized[i].key(), imprinted[i].key()) << id;
+        }
+        ++boards;
+        replayed += deferred;
+    }
+    // Nothing was measured, so every rented board owed its whole
+    // history: every route element of every tenancy plus the filler.
+    EXPECT_EQ(boards, rented.size());
+    EXPECT_GT(replayed, route_elements);
 }
 
 } // namespace

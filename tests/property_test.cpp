@@ -25,6 +25,8 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
+#include "eager_reference.hpp"
+
 namespace pc = pentimento::core;
 namespace pcl = pentimento::cloud;
 namespace pf = pentimento::fabric;
@@ -392,13 +394,12 @@ class JournalInterleaving
 {
   protected:
     static pf::DeviceConfig
-    deviceConfig(bool eager)
+    deviceConfig()
     {
         pf::DeviceConfig config;
         config.tiles_x = 8;
         config.tiles_y = 8;
         config.nodes_per_tile = 32;
-        config.eager_materialisation = eager;
         return config;
     }
 
@@ -408,10 +409,12 @@ class JournalInterleaving
      * in-place mutations of the resident design, and irregular
      * advances at random temperatures. The op sequence is a pure
      * function of the seed, so an eager and a lazy device fed the
-     * same seed experience identical physical histories.
+     * same seed experience identical physical histories. `eager`
+     * binds the resident design after every load and mutation (the
+     * eager_reference.hpp reference).
      */
     static std::vector<pf::RouteSpec>
-    drive(pf::Device &device, std::uint64_t seed)
+    drive(pf::Device &device, std::uint64_t seed, bool eager)
     {
         pu::Rng rng(seed);
         std::vector<pf::RouteSpec> routes;
@@ -445,6 +448,9 @@ class JournalInterleaving
                 }
                 device.loadDesign(design);
                 resident = std::move(design);
+                if (eager) {
+                    pentimento::testing::bindResident(device);
+                }
             } else if (action == 1) {
                 device.wipe();
                 resident.reset();
@@ -453,6 +459,9 @@ class JournalInterleaving
                     rng.uniformIndex(routes.size());
                 resident->setRouteValue(routes[pick],
                                         rng.bernoulli(0.5));
+                if (eager) {
+                    pentimento::testing::bindResident(device);
+                }
             } else {
                 const double dt =
                     0.25 * static_cast<double>(rng.uniformInt(1, 16));
@@ -476,12 +485,12 @@ class JournalInterleaving
 
 TEST_P(JournalInterleaving, FullObservationConvergesToEagerSet)
 {
-    pf::Device eager(deviceConfig(true));
-    pf::Device lazy(deviceConfig(false));
+    pf::Device eager(deviceConfig());
+    pf::Device lazy(deviceConfig());
     const std::vector<pf::RouteSpec> routes_e =
-        drive(eager, GetParam());
+        drive(eager, GetParam(), true);
     const std::vector<pf::RouteSpec> routes_l =
-        drive(lazy, GetParam());
+        drive(lazy, GetParam(), false);
 
     // Full observation: bind and read every pool route on both.
     std::vector<double> delays_e;
@@ -512,9 +521,9 @@ TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
     // in different seeded shuffle orders; each route's delays must be
     // bit-identical however late (or early) its journal is consumed.
     const auto runWithOrder = [&](std::uint64_t shuffle_seed) {
-        pf::Device device(deviceConfig(false));
+        pf::Device device(deviceConfig());
         const std::vector<pf::RouteSpec> routes =
-            drive(device, GetParam());
+            drive(device, GetParam(), false);
         std::vector<std::size_t> order(routes.size());
         for (std::size_t i = 0; i < order.size(); ++i) {
             order[i] = i;

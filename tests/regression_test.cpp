@@ -362,9 +362,9 @@ TEST(DenseSweep, WorkerCountInvariantMeasurement)
  * Multi-tenant golden: 16 journal-backed tenancies (mid-tenancy
  * mitigation flips, fresh routes each, idle recovery between), with
  * only the last two tenancies' routes observed. Recorded from the
- * PR 5 implementation, which is bit-identical to eager
+ * first journal implementation, which is bit-identical to eager
  * materialisation (journal_test locks that equivalence; this golden
- * pins the absolute values so a future PR cannot silently perturb
+ * pins the absolute values so a later change cannot silently perturb
  * the variation/tenancy draw streams or the replay arithmetic).
  */
 const std::vector<double> kChurnGolden = {
@@ -392,22 +392,6 @@ TEST(GoldenRegression, TenancyChurnIsBitIdentical)
     EXPECT_EQ(result.materialized, 320u);
     EXPECT_EQ(result.journaled, 2272u);
     EXPECT_EQ(result.elapsed_h, 0x1.36cp+10);
-}
-
-TEST(GoldenRegression, TenancyChurnEagerMatchesSameGolden)
-{
-    // The eager path must land on the identical doubles — this is the
-    // regression-level statement of eager/lazy equivalence.
-    pc::TenancyChurnConfig config;
-    config.device.eager_materialisation = true;
-    const pc::TenancyChurnResult result = pc::runTenancyChurn(config);
-    ASSERT_EQ(result.observed_delays_ps.size(), kChurnGolden.size());
-    for (std::size_t i = 0; i < kChurnGolden.size(); ++i) {
-        EXPECT_EQ(result.observed_delays_ps[i], kChurnGolden[i])
-            << "eager churn delay " << i;
-    }
-    EXPECT_EQ(result.materialized, 2592u);
-    EXPECT_EQ(result.journaled, 0u);
 }
 
 // ------------------------------------------- deterministic ids

@@ -1304,7 +1304,6 @@ TEST_F(FleetScanResumeTest, PreviousBuildConfigLayoutIsNeverResumed)
         writer.u64(config.routes_per_tenant);
         writer.u64(config.max_measured);
         writer.u8(config.golden_compat ? 1 : 0);
-        writer.u8(config.journal_stress ? 1 : 0);
         writer.u8(config.bram_channel ? 1 : 0);
         writer.u8(static_cast<std::uint8_t>(config.bram_scrub));
         writer.u32(0);

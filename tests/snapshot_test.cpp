@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -764,6 +765,53 @@ expectSameSeries(const std::vector<double> &straight,
     }
 }
 
+/** The device chunk's payload inside a one-chunk image. */
+std::vector<std::uint8_t>
+devicePayload(const std::vector<std::uint8_t> &image)
+{
+    std::uint64_t payload_len = 0;
+    std::memcpy(&payload_len, image.data() + 24, sizeof(payload_len));
+    return std::vector<std::uint8_t>(
+        image.begin() + 32,
+        image.begin() + 32 + static_cast<std::ptrdiff_t>(payload_len));
+}
+
+/** Re-wrap an edited device payload (so its CRC is valid) and
+ *  restore it into a fresh device built from tinyConfig(seed). */
+pu::Expected<void>
+restoreDevicePayload(const std::vector<std::uint8_t> &payload,
+                     std::uint64_t seed)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kDevTag);
+    for (const std::uint8_t byte : payload) {
+        writer.u8(byte);
+    }
+    writer.endChunk();
+    pf::Device target(tinyConfig(seed));
+    return restoreDeviceImage(writer.finish(), target);
+}
+
+/** Overwrite every 8-byte occurrence of `from`'s bits in `payload`
+ *  with `to`'s; returns how many were replaced. */
+std::size_t
+replaceF64(std::vector<std::uint8_t> &payload, double from, double to)
+{
+    std::uint8_t needle[8];
+    std::uint8_t with[8];
+    std::memcpy(needle, &from, sizeof(needle));
+    std::memcpy(with, &to, sizeof(with));
+    std::size_t replaced = 0;
+    for (std::size_t i = 0; i + 8 <= payload.size(); ++i) {
+        if (std::memcmp(payload.data() + i, needle, 8) == 0) {
+            std::memcpy(payload.data() + i, with, 8);
+            ++replaced;
+            i += 7;
+        }
+    }
+    return replaced;
+}
+
 } // namespace
 
 TEST(SnapshotDevice, MidTenancyRoundTripIsBitIdentical)
@@ -885,33 +933,36 @@ TEST(SnapshotDevice, CorruptImageNeverAborts)
 
 namespace {
 
-/** One hand-written journal entry: its key, run count (0 = spent) and,
- *  past two runs, its spill chain's head and tail nodes. */
+/** One hand-written journal entry: its key, run count (0 = spent),
+ *  past two runs its spill chain's head and tail nodes, and the
+ *  positions its inline runs start at. */
 struct JournalEntry
 {
     std::uint64_t key;
     std::uint32_t count;
     std::uint32_t head = 0;
     std::uint32_t tail = 0;
+    std::uint32_t from[2] = {0, 0};
 };
 
-constexpr std::uint32_t kJournalNoPin = static_cast<std::uint32_t>(-1);
 /** Kind-byte bit marking a run whose duty is exactly 0.5. */
 constexpr std::uint8_t kJournalHalfDuty = 0x80;
 
 /**
  * A journal chunk written field by field in ActivityJournal's layout:
- * index size, active count, pin, the spill arena (one Hold1 run per
- * node, each with its saved link: next node + 1, 0 = chain end), then
- * the entries, each with up to two inline Hold1 runs at position 0.
+ * index size, active count, the spill arena (one Hold1 run per node,
+ * at the position `arena_from` gives it or 0, each with its saved
+ * link: next node + 1, 0 = chain end), then the entries, each with up
+ * to two inline Hold1 runs.
  */
 std::vector<std::uint8_t>
 journalImage(std::uint64_t index_size, std::uint64_t active,
              const std::vector<JournalEntry> &entries,
-             const std::vector<std::uint64_t> &arena_links = {})
+             const std::vector<std::uint64_t> &arena_links = {},
+             const std::vector<std::uint32_t> &arena_from = {})
 {
-    const auto run = [](pu::SnapshotWriter &writer) {
-        writer.varint(0);
+    const auto run = [](pu::SnapshotWriter &writer, std::uint32_t from) {
+        writer.varint(from);
         writer.u8(static_cast<std::uint8_t>(pf::Activity::Hold1) |
                   kJournalHalfDuty);
     };
@@ -919,18 +970,17 @@ journalImage(std::uint64_t index_size, std::uint64_t active,
     writer.beginChunk(kDevTag);
     writer.varint(index_size);
     writer.varint(active);
-    writer.u32(kJournalNoPin);
     writer.varint(arena_links.size());
-    for (const std::uint64_t link : arena_links) {
-        run(writer);
-        writer.varint(link);
+    for (std::size_t n = 0; n < arena_links.size(); ++n) {
+        run(writer, n < arena_from.size() ? arena_from[n] : 0);
+        writer.varint(arena_links[n]);
     }
     writer.varint(entries.size());
     for (const JournalEntry &entry : entries) {
         writer.u64(entry.key);
         writer.varint(entry.count);
         for (std::uint32_t r = 0; r < std::min(entry.count, 2u); ++r) {
-            run(writer);
+            run(writer, entry.from[r]);
         }
         if (entry.count > 2) {
             writer.varint(entry.head);
@@ -952,10 +1002,12 @@ activeEntries(std::size_t n)
     return entries;
 }
 
-/** Restore `image` into `journal`; returns the reader's status. */
+/** Restore `image` into `journal` against a timeline of `positions`
+ *  closed segments; returns the reader's status. */
 pu::Expected<void>
 restoreJournalImage(std::vector<std::uint8_t> image,
-                    pf::ActivityJournal &journal)
+                    pf::ActivityJournal &journal,
+                    std::uint64_t positions = 0)
 {
     pu::Expected<pu::SnapshotReader> made =
         pu::SnapshotReader::fromBuffer(std::move(image));
@@ -963,7 +1015,8 @@ restoreJournalImage(std::vector<std::uint8_t> image,
         return pu::unexpected(made.error());
     }
     pu::SnapshotReader &reader = made.value();
-    if (reader.enterChunk(kDevTag) && journal.restoreState(reader)) {
+    if (reader.enterChunk(kDevTag) &&
+        journal.restoreState(reader, positions)) {
         reader.leaveChunk();
         reader.expectEnd();
     }
@@ -1150,7 +1203,8 @@ TEST(SnapshotDevice, JournalSaveRestoreSaveIsByteIdentical)
 
     const std::vector<std::uint8_t> first = saveJournalImage(journal);
     pf::ActivityJournal restored;
-    const pu::Expected<void> result = restoreJournalImage(first, restored);
+    const pu::Expected<void> result =
+        restoreJournalImage(first, restored, pos);
     ASSERT_TRUE(result.ok()) << result.error();
     EXPECT_EQ(saveJournalImage(restored), first);
 
@@ -1181,19 +1235,15 @@ TEST(SnapshotDevice, HugeCountsRejectedWithoutAllocating)
     // chunk holds and must fail before anything is sized by it. The
     // tail of a pristine payload is fixed: closed-segment count, the
     // open segment (33 bytes), element count, the empty journal
-    // (index size, active count, pin u32, arena count, entry count:
-    // 8 bytes), then the BRAM design name, revision and block count.
+    // (index size, active count, arena count, entry count: 4 bytes),
+    // then the BRAM design name, revision and block count.
     pf::Device pristine(tinyConfig(17));
-    const std::vector<std::uint8_t> image = saveDeviceImage(pristine);
-    std::uint64_t payload_len = 0;
-    std::memcpy(&payload_len, image.data() + 24, sizeof(payload_len));
-    const std::vector<std::uint8_t> payload(
-        image.begin() + 32,
-        image.begin() + 32 + static_cast<std::ptrdiff_t>(payload_len));
+    const std::vector<std::uint8_t> payload =
+        devicePayload(saveDeviceImage(pristine));
     const std::size_t end = payload.size();
-    const std::size_t closed_at = end - 81;
-    const std::size_t elements_at = end - 40;
-    const std::size_t journal_at = end - 32;
+    const std::size_t closed_at = end - 77;
+    const std::size_t elements_at = end - 36;
+    const std::size_t journal_at = end - 28;
     const std::size_t bram_at = end - 8;
 
     const auto u64Bytes = [](std::uint64_t v) {
@@ -1219,14 +1269,7 @@ TEST(SnapshotDevice, HugeCountsRejectedWithoutAllocating)
                           static_cast<std::ptrdiff_t>(at + width));
         spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(at),
                        with.begin(), with.end());
-        pu::SnapshotWriter writer;
-        writer.beginChunk(kDevTag);
-        for (const std::uint8_t byte : spliced) {
-            writer.u8(byte);
-        }
-        writer.endChunk();
-        pf::Device target(tinyConfig(17));
-        return restoreDeviceImage(writer.finish(), target);
+        return restoreDevicePayload(spliced, 17);
     };
 
     // The splice points hold what a pristine device saves.
@@ -1254,9 +1297,9 @@ TEST(SnapshotDevice, HugeCountsRejectedWithoutAllocating)
          "snapshot: element count overruns the chunk"},
         {"index", journal_at, 1, varintBytes(std::uint64_t{1} << 40),
          "snapshot: journal index is larger than its entries need"},
-        {"arena", journal_at + 6, 1, varintBytes(kHuge),
+        {"arena", journal_at + 2, 1, varintBytes(kHuge),
          "snapshot: journal arena count overruns the chunk"},
-        {"entries", journal_at + 7, 1, varintBytes(kHuge),
+        {"entries", journal_at + 3, 1, varintBytes(kHuge),
          "snapshot: journal entry count overruns the chunk"},
         {"bram", bram_at, 8, u64Bytes(kHuge),
          "snapshot: BRAM block count overruns the chunk"},
@@ -1269,6 +1312,215 @@ TEST(SnapshotDevice, HugeCountsRejectedWithoutAllocating)
             restoreSpliced(c.at, c.width, c.with);
         ASSERT_FALSE(restored.ok()) << c.what;
         EXPECT_EQ(restored.error(), c.error) << c.what;
+    }
+}
+
+TEST(SnapshotDevice, JournalRunsPastTimelineOrOutOfOrderRejected)
+{
+    // Replay reads the closed segments between a key's consecutive
+    // run starts, and the last run start becomes the element's synced
+    // position. A run past the restored timeline, or runs out of
+    // order, would index past the segment list at the first bind.
+    {
+        // Control: a run may start at the timeline's end.
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored = restoreJournalImage(
+            journalImage(256, 1, {{1000, 2, 0, 0, {3, 5}}}), journal, 5);
+        ASSERT_TRUE(restored.ok()) << restored.error();
+        EXPECT_EQ(journal.minActivePosition(9), 3u);
+    }
+    struct Case
+    {
+        const char *what;
+        std::vector<std::uint8_t> image;
+        const char *error;
+    };
+    const std::vector<Case> cases = {
+        {"first run past the end",
+         journalImage(256, 1, {{1000, 1, 0, 0, {6, 0}}}),
+         "snapshot: journal run is out of range"},
+        {"second run past the end",
+         journalImage(256, 1, {{1000, 2, 0, 0, {3, 6}}}),
+         "snapshot: journal run is out of range"},
+        {"spilled run past the end",
+         journalImage(256, 1, {{1000, 3, 0, 0, {1, 2}}}, {0}, {6}),
+         "snapshot: journal run is out of range"},
+        {"inline runs out of order",
+         journalImage(256, 1, {{1000, 2, 0, 0, {4, 3}}}),
+         "snapshot: journal runs are out of order"},
+        {"spilled run before the inline ones",
+         journalImage(256, 1, {{1000, 3, 0, 0, {1, 4}}}, {0}, {3}),
+         "snapshot: journal spill chain is broken"},
+        {"spilled runs out of order",
+         journalImage(256, 1, {{1000, 4, 0, 1, {1, 2}}}, {2, 0}, {5, 4}),
+         "snapshot: journal spill chain is broken"},
+    };
+    for (const Case &c : cases) {
+        pf::ActivityJournal journal;
+        const pu::Expected<void> restored =
+            restoreJournalImage(c.image, journal, 5);
+        ASSERT_FALSE(restored.ok()) << c.what;
+        EXPECT_EQ(restored.error(), c.error) << c.what;
+        expectStillRecords(journal);
+    }
+
+    // The device checks its journal against its own timeline: cut the
+    // closed segments of a saved image short under a deferred key.
+    pf::Device device(tinyConfig(23));
+    const pf::RouteSpec r = device.allocateRoute("r", 500.0);
+    auto d = std::make_shared<pf::Design>("d");
+    d->setRouteValue(r, true);
+    device.loadDesign(d);
+    for (int i = 0; i < 6; ++i) {
+        device.advanceAt(2.0, 340.0 + i);
+    }
+    device.wipe(); // the released run starts past every cut below
+    device.advanceAt(4.0, 320.0);
+    device.advanceAt(4.0, 321.0);
+    ASSERT_EQ(device.journaledKeyCount(), r.size());
+    const std::vector<std::uint8_t> payload =
+        devicePayload(saveDeviceImage(device));
+    ASSERT_TRUE(restoreDevicePayload(payload, 23).ok());
+
+    // The closed-segment count sits where a pristine payload, whose
+    // fixed-size tail follows it, puts it.
+    const std::size_t closed_at =
+        devicePayload(saveDeviceImage(pf::Device(tinyConfig(23)))).size() -
+        77;
+    std::uint64_t closed = 0;
+    std::memcpy(&closed, payload.data() + closed_at, sizeof(closed));
+    ASSERT_GE(closed, 7u);
+    // Segments are duration, stress, flag (+ recovery when flagged).
+    std::vector<std::size_t> seg_at;
+    std::size_t at = closed_at + 8;
+    for (std::uint64_t i = 0; i < closed; ++i) {
+        seg_at.push_back(at);
+        at += payload[at + 16] != 0 ? 25 : 17;
+    }
+    seg_at.push_back(at);
+    for (const std::uint64_t keep : {std::uint64_t{1}, std::uint64_t{4}}) {
+        std::vector<std::uint8_t> cut = payload;
+        cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(seg_at[keep]),
+                  cut.begin() + static_cast<std::ptrdiff_t>(seg_at.back()));
+        std::memcpy(cut.data() + closed_at, &keep, sizeof(keep));
+        const pu::Expected<void> restored = restoreDevicePayload(cut, 23);
+        ASSERT_FALSE(restored.ok()) << keep << " segments kept";
+        EXPECT_EQ(restored.error(), "snapshot: journal run is out of range")
+            << keep << " segments kept";
+    }
+}
+
+TEST(SnapshotDevice, CompactionPinRecomputedOnRestore)
+{
+    // The compaction pin is a memo of the smallest first-run position
+    // among active keys. It is not saved, so a checkpoint cannot carry
+    // a pin its runs contradict: two journals that differ only in
+    // whether the memo is filled save the same bytes, and a restored
+    // journal reports the pin its runs imply.
+    const auto build = [](bool memo_filled) {
+        pf::ActivityJournal journal;
+        journal.recordIfChanged(
+            10, pf::ElementActivity{pf::Activity::Hold1, 0.5}, 7);
+        journal.recordIfChanged(
+            11, pf::ElementActivity{pf::Activity::Hold0, 0.5}, 3);
+        if (memo_filled) {
+            EXPECT_EQ(journal.minActivePosition(100), 3u);
+        }
+        return saveJournalImage(journal);
+    };
+    EXPECT_EQ(build(false), build(true));
+
+    pf::ActivityJournal journal;
+    const pu::Expected<void> restored = restoreJournalImage(
+        journalImage(256, 2,
+                     {{1000, 1, 0, 0, {7, 0}},
+                      {1001, 0},
+                      {1002, 2, 0, 0, {4, 9}}}),
+        journal, 9);
+    ASSERT_TRUE(restored.ok()) << restored.error();
+    EXPECT_EQ(journal.minActivePosition(100), 4u);
+    // Compaction drops exactly the pinned prefix; nothing wraps.
+    journal.rebase(journal.minActivePosition(9));
+    EXPECT_EQ(journal.minActivePosition(100), 0u);
+    const std::vector<pf::JournalRun> runs = journal.consume(1002);
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].from, 0u);
+    EXPECT_EQ(runs[1].from, 5u);
+    EXPECT_EQ(journal.minActivePosition(100), 3u);
+}
+
+TEST(SnapshotDevice, ImpossibleActivityStateRejected)
+{
+    // A toggle duty outside [0, 1] throws from ElementAging at the
+    // next replay, and a NaN duty turns every delay into NaN, whether
+    // the duty sits in an element's live activity or in a journal
+    // run. A state epoch equal to kDvthNeverCached makes every empty
+    // ΔVth memo slot read as filled with pristine shifts. Restore
+    // refuses all of them.
+    constexpr double kDuty = 0.3;
+    const auto toggled = [](bool observe) {
+        pf::Device device(tinyConfig(29));
+        const pf::RouteSpec r = device.allocateRoute("r", 500.0);
+        auto d = std::make_shared<pf::Design>("d");
+        d->setRouteToggling(r, kDuty);
+        device.loadDesign(d);
+        device.advanceAt(12.0, 350.0);
+        if (observe) {
+            std::vector<double> unused;
+            observeRoute(device, r, unused); // the duty moves to live_
+        }
+        return devicePayload(saveDeviceImage(device));
+    };
+    for (const bool observe : {true, false}) {
+        const std::vector<std::uint8_t> payload = toggled(observe);
+        ASSERT_TRUE(restoreDevicePayload(payload, 29).ok());
+        for (const double bad : {7.0, -0.25, std::nan("")}) {
+            std::vector<std::uint8_t> edited = payload;
+            ASSERT_GT(replaceF64(edited, kDuty, bad), 0u);
+            const pu::Expected<void> restored =
+                restoreDevicePayload(edited, 29);
+            ASSERT_FALSE(restored.ok()) << "duty " << bad;
+            EXPECT_EQ(restored.error(),
+                      observe ? "snapshot: element activity bookkeeping "
+                                "is out of range"
+                              : "snapshot: journal run is out of range")
+                << "duty " << bad;
+        }
+    }
+
+    // Two pristine payloads that differ only in the epoch locate it.
+    pf::Device epoch0(tinyConfig(29));
+    pf::Device epoch1(tinyConfig(29));
+    epoch1.creditIdleHours(0.0);
+    ASSERT_EQ(epoch1.stateEpoch(), 1u);
+    const std::vector<std::uint8_t> p0 =
+        devicePayload(saveDeviceImage(epoch0));
+    const std::vector<std::uint8_t> p1 =
+        devicePayload(saveDeviceImage(epoch1));
+    ASSERT_EQ(p0.size(), p1.size());
+    std::vector<std::size_t> differ;
+    for (std::size_t i = 0; i < p0.size(); ++i) {
+        if (p0[i] != p1[i]) {
+            differ.push_back(i);
+        }
+    }
+    ASSERT_EQ(differ.size(), 1u);
+    const std::size_t epoch_at = differ[0];
+
+    const std::vector<std::uint8_t> aged = toggled(true);
+    for (const std::uint64_t epoch :
+         {pf::kDvthNeverCached, pf::kDvthNeverCached - 1}) {
+        std::vector<std::uint8_t> edited = aged;
+        std::memcpy(edited.data() + epoch_at, &epoch, sizeof(epoch));
+        const pu::Expected<void> restored =
+            restoreDevicePayload(edited, 29);
+        if (epoch == pf::kDvthNeverCached) {
+            ASSERT_FALSE(restored.ok());
+            EXPECT_EQ(restored.error(),
+                      "snapshot: device state epoch is out of range");
+        } else {
+            EXPECT_TRUE(restored.ok()) << restored.error();
+        }
     }
 }
 
