@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 
 #include "cloud/ambient.hpp"
@@ -368,24 +371,18 @@ BM_MeasureSweepExact(benchmark::State &state)
 }
 BENCHMARK(BM_MeasureSweepExact)->Args({256, 0})->Args({256, 3});
 
-void
-BM_CheckpointSaveRestore(benchmark::State &state)
+/**
+ * A fleet of `fleet` boards the size the campaign runs, with some real
+ * history so the boards aren't all trivially pristine: the image a
+ * periodic checkpoint encodes.
+ */
+std::unique_ptr<cloud::CloudPlatform>
+historiedFleet(const cloud::PlatformConfig &config)
 {
-    // The PR-7 crash-safety kernel: serialize a fleet the size the
-    // campaign runs (in-memory image, no disk — the format cost, not
-    // the filesystem's) and restore it into a fresh platform,
-    // measuring the full round trip a periodic checkpoint pays. The
-    // fleet carries some real history so the boards aren't all
-    // trivially pristine.
-    cloud::PlatformConfig config;
-    config.fleet_size = static_cast<std::size_t>(state.range(0));
-    config.region = "bench";
-    config.seed = 77;
-    cloud::CloudPlatform platform(config);
-    const auto boards = platform.rentAll();
+    auto platform = std::make_unique<cloud::CloudPlatform>(config);
+    const auto boards = platform->rentAll();
     for (std::size_t i = 0; i < boards.size() && i < 8; ++i) {
-        fabric::Device &device =
-            platform.instance(boards[i]).device();
+        fabric::Device &device = platform->instance(boards[i]).device();
         std::vector<fabric::RouteSpec> specs;
         for (int r = 0; r < 4; ++r) {
             specs.push_back(device.allocateRoute(
@@ -395,18 +392,40 @@ BM_CheckpointSaveRestore(benchmark::State &state)
         auto design = std::make_shared<fabric::TargetDesign>(
             "bench_" + boards[i], specs,
             std::vector<bool>(specs.size(), i % 2 == 0));
-        platform.loadDesign(boards[i], design);
+        platform->loadDesign(boards[i], design);
     }
-    platform.advanceHours(48.0);
+    platform->advanceHours(48.0);
     for (const std::string &board : boards) {
-        platform.release(board);
+        platform->release(board);
     }
-    platform.advanceHours(24.0);
+    platform->advanceHours(24.0);
+    return platform;
+}
+
+cloud::PlatformConfig
+benchFleetConfig(std::int64_t fleet)
+{
+    cloud::PlatformConfig config;
+    config.fleet_size = static_cast<std::size_t>(fleet);
+    config.region = "bench";
+    config.seed = 77;
+    return config;
+}
+
+void
+BM_CheckpointSaveRestore(benchmark::State &state)
+{
+    // The PR-7 crash-safety kernel: serialize a fleet the size the
+    // campaign runs (in-memory image, no disk — the format cost, not
+    // the filesystem's) and restore it into a fresh platform,
+    // measuring the full round trip a periodic checkpoint pays.
+    const cloud::PlatformConfig config = benchFleetConfig(state.range(0));
+    const auto platform = historiedFleet(config);
 
     std::size_t image_bytes = 0;
     for (auto _ : state) {
         util::SnapshotWriter writer;
-        platform.saveState(writer);
+        platform->saveState(writer);
         const std::vector<std::uint8_t> &image = writer.finish();
         image_bytes = image.size();
 
@@ -427,6 +446,48 @@ BM_CheckpointSaveRestore(benchmark::State &state)
                    std::to_string(image_bytes / 1024) + " KiB image");
 }
 BENCHMARK(BM_CheckpointSaveRestore)->Arg(16)->Arg(112);
+
+void
+BM_CheckpointCommit(benchmark::State &state)
+{
+    // What the simulation thread pays per weekly commit of the fleet
+    // through the background committer: the encode and the block
+    // hand-offs. Write, fsync, rename and the directory fsync run on
+    // the committer's thread; the drain that waits for them is
+    // outside the timed region, as the simulated week between two
+    // commits hides it in a campaign.
+    const auto platform = historiedFleet(benchFleetConfig(state.range(0)));
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "bm_commit_XXXXXX")
+            .string();
+    if (::mkdtemp(dir.data()) == nullptr) {
+        state.SkipWithError("cannot create a scratch directory");
+        return;
+    }
+    const std::string path = dir + "/fleet.ckpt";
+    {
+        util::SnapshotCommitter committer;
+        for (auto _ : state) {
+            {
+                util::SnapshotWriter writer(committer, path);
+                platform->saveState(writer);
+                writer.finish();
+            }
+            state.PauseTiming();
+            const util::Expected<void> landed = committer.drain();
+            state.ResumeTiming();
+            if (!landed.ok()) {
+                state.SkipWithError(landed.error().c_str());
+                break;
+            }
+        }
+    }
+    state.SetLabel(std::to_string(state.range(0)) + " boards");
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    std::filesystem::remove(dir);
+}
+BENCHMARK(BM_CheckpointCommit)->Arg(112);
 
 void
 BM_Crc32c(benchmark::State &state)

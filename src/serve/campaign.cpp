@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -165,14 +166,53 @@ readTenancy(util::SnapshotReader &reader, Tenancy *tenancy)
 }
 
 /**
- * Write one rotating checkpoint generation. Failure is reported but
- * non-fatal — a full disk must not kill a long campaign.
+ * The call's rotating checkpoint. Each generation streams, as it is
+ * encoded, to a background committer made at the first commit, so the
+ * simulation thread pays for the encode only. Destruction drains it:
+ * whichever way runFleetScan leaves (return, halt or throw), its last
+ * generation has landed before the caller sees the outcome. A failed
+ * write is reported but non-fatal — a full disk must not kill a long
+ * campaign.
  */
-void
-saveCheckpoint(const CampaignState &state,
-               const FleetScanConfig &config)
+class Checkpointer
 {
-    util::SnapshotWriter writer;
+  public:
+    explicit Checkpointer(const FleetScanConfig &config) : config_(config)
+    {
+    }
+    Checkpointer(const Checkpointer &) = delete;
+    Checkpointer &operator=(const Checkpointer &) = delete;
+    ~Checkpointer() { drain(); }
+
+    /** Stream one generation, once the previous one has landed. */
+    void save(const CampaignState &state);
+
+  private:
+    /** Wait for the generation in flight; warn if it failed. */
+    void drain();
+
+    const FleetScanConfig &config_;
+    std::optional<util::SnapshotCommitter> committer_;
+};
+
+void
+Checkpointer::drain()
+{
+    if (!committer_) {
+        return;
+    }
+    const util::Expected<void> landed = committer_->drain();
+    if (!landed.ok()) {
+        util::warn("fleet scan: checkpoint write failed (" +
+                   landed.error() + "); continuing without it");
+    }
+}
+
+/** Encode one checkpoint generation into `writer`. */
+void
+writeCheckpoint(util::SnapshotWriter &writer, const CampaignState &state,
+                const FleetScanConfig &config)
+{
     writer.beginChunk(kSrvCfgTag);
     writer.u64(config.fleet);
     writer.u64(static_cast<std::uint64_t>(config.days));
@@ -205,13 +245,18 @@ saveCheckpoint(const CampaignState &state,
         writeTenancy(writer, a.record);
     }
     writer.endChunk();
+}
 
-    const util::Expected<void> committed =
-        writer.commitRotating(config.checkpoint_path);
-    if (!committed.ok()) {
-        util::warn("fleet scan: checkpoint write failed (" +
-                   committed.error() + "); continuing without it");
+void
+Checkpointer::save(const CampaignState &state)
+{
+    if (!committer_) {
+        committer_.emplace();
     }
+    drain();
+    util::SnapshotWriter writer(*committer_, config_.checkpoint_path);
+    writeCheckpoint(writer, state, config_);
+    writer.finish();
 }
 
 /**
@@ -515,6 +560,7 @@ runFleetScan(const FleetScanConfig &config)
         }
     }
     cloud::CloudPlatform &platform = *state.platform;
+    Checkpointer checkpoints(config);
 
     // Unclean teardowns bypass the provider's release pipeline (and
     // any ZeroOnRelease scrub) and expose the board's BRAM blocks to
@@ -619,8 +665,9 @@ runFleetScan(const FleetScanConfig &config)
             checkpointing && config.checkpoint_every_days > 0 &&
             completed % config.checkpoint_every_days == 0 &&
             completed < config.days;
-        if (periodic || (halting && checkpointing)) {
-            saveCheckpoint(state, config);
+        const bool committed = periodic || (halting && checkpointing);
+        if (committed) {
+            checkpoints.save(state);
         }
         if (halting) {
             result.halted_after_day = completed;
@@ -634,9 +681,11 @@ runFleetScan(const FleetScanConfig &config)
                 platform.nowHours(), nullptr, 0)) {
             // A final checkpoint before unwinding makes every
             // cancellation (deadline, disconnect, drain, signal)
-            // resumable from exactly this day.
-            if (checkpointing) {
-                saveCheckpoint(state, config);
+            // resumable from exactly this day — unless this day was
+            // just committed, when a second commit would rotate the
+            // only older generation away.
+            if (checkpointing && !committed) {
+                checkpoints.save(state);
             }
             throw util::CancelledError(
                 "fleet scan cancelled after day " +

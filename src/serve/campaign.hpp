@@ -20,7 +20,11 @@
  *    latest good generation *if* it matches this config — so a server
  *    killed mid-campaign re-delivers the identical result when the
  *    identical request is resubmitted after restart. A missing,
- *    corrupt or mismatched checkpoint just means a fresh run.
+ *    corrupt or mismatched checkpoint just means a fresh run. Each
+ *    generation streams to a background util::SnapshotCommitter as it
+ *    is encoded, so the day loop does not wait on write, fsync or
+ *    rename; a generation is on disk by the next commit, or before
+ *    runFleetScan returns or throws, whichever comes first.
  *
  * The result is a pure function of (fleet, days, seed,
  * routes_per_tenant, max_measured): checkpoint/resume history, the
@@ -106,9 +110,11 @@ struct FleetScanConfig
  * Run (or resume) a fleet-scan campaign.
  *
  * Throws util::CancelledError when the observer cancels (after
- * writing a final checkpoint, when a path is configured); returns an
- * error for invalid configuration. Checkpoint write failures are
- * reported via util::warn and never fail the campaign.
+ * writing a final checkpoint, when a path is configured and the day
+ * was not just committed); returns an error for invalid
+ * configuration. Every return or throw, a halt included, comes after
+ * the last checkpoint generation has landed. Checkpoint write
+ * failures are reported via util::warn and never fail the campaign.
  */
 util::Expected<FleetScanResult> runFleetScan(
     const FleetScanConfig &config);

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <mutex>
+#include <thread>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -84,6 +89,156 @@ errnoMessage(const std::string &what, const std::string &path)
     return what + " " + path + ": " + std::strerror(errno);
 }
 
+/** fsync directory `dir`, so a rename in it survives a power loss.
+ *  On failure errno says why. */
+bool
+syncDirectory(const std::string &dir)
+{
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) {
+        return false;
+    }
+    const bool synced = ::fsync(fd) == 0;
+    const int fsync_errno = errno;
+    ::close(fd);
+    errno = fsync_errno;
+    return synced;
+}
+
+/**
+ * The commit protocol for one generation of `path`, in steps, so the
+ * synchronous commit and the committer thread run the same code:
+ * open() rotates `<path>` to `<path>.prev` (when rotating) and creates
+ * `<path>.tmp`; append() writes bytes to it; publish() flushes,
+ * fsyncs, renames over `<path>` and fsyncs the directory. After the
+ * first failure every later step is a no-op, and publish() removes
+ * the `.tmp` and reports it; abandon() removes it without a report.
+ */
+class GenerationFile
+{
+  public:
+    GenerationFile(std::string path, bool rotating)
+        : path_(std::move(path)), tmp_(path_ + ".tmp"), rotating_(rotating)
+    {
+    }
+    GenerationFile(const GenerationFile &) = delete;
+    GenerationFile &operator=(const GenerationFile &) = delete;
+    ~GenerationFile() { abandon(); }
+
+    void
+    open()
+    {
+        // Keep the previous good generation: path -> path.prev, then
+        // the fresh image lands on path. A crash between the two
+        // renames leaves .prev loadable; a torn .tmp write never
+        // touches either.
+        const std::string prev = path_ + ".prev";
+        if (rotating_ && std::rename(path_.c_str(), prev.c_str()) != 0 &&
+            errno != ENOENT) {
+            error_ = errnoMessage("snapshot: rotate failed for", path_);
+            return;
+        }
+        if (fault::shouldFail("snapshot.commit.enospc")) {
+            error_ = "snapshot: cannot create " + tmp_ +
+                     ": No space left on device (injected)";
+            return;
+        }
+        fp_ = std::fopen(tmp_.c_str(), "wb");
+        if (fp_ == nullptr) {
+            error_ = errnoMessage("snapshot: cannot create", tmp_);
+            return;
+        }
+        // A torn rename publishes the first half of the image but
+        // then "succeeds" all the way through rename, leaving a
+        // corrupt destination — the failure mode a crash between
+        // write and fsync would produce on a journal-less filesystem.
+        // The .prev generation must rescue it.
+        torn_ = fault::shouldFail("snapshot.commit.torn_rename");
+        if (!torn_ && fault::shouldFail("snapshot.commit.short_write")) {
+            error_ = "snapshot: short write to " + tmp_ + " (injected)";
+        }
+    }
+
+    void
+    append(const std::uint8_t *data, std::size_t len)
+    {
+        if (!error_.empty() || len == 0) {
+            return;
+        }
+        if (std::fwrite(data, 1, len, fp_) != len) {
+            error_ = errnoMessage("snapshot: short write to", tmp_);
+        }
+        bytes_ += len;
+    }
+
+    Expected<void>
+    publish()
+    {
+        if (error_.empty() &&
+            (std::fflush(fp_) != 0 ||
+             (torn_ && ::ftruncate(fileno(fp_),
+                                   static_cast<off_t>(bytes_ / 2)) != 0) ||
+             fsync(fileno(fp_)) != 0)) {
+            error_ = errnoMessage("snapshot: short write to", tmp_);
+        }
+        if (!error_.empty()) {
+            abandon();
+            return unexpected(error_);
+        }
+        const int closed = std::fclose(fp_);
+        fp_ = nullptr;
+        if (closed != 0) {
+            const Expected<void> err =
+                unexpected(errnoMessage("snapshot: close failed for", tmp_));
+            std::remove(tmp_.c_str());
+            return err;
+        }
+        if (fault::shouldFail("snapshot.commit.rename")) {
+            std::remove(tmp_.c_str());
+            return unexpected("snapshot: rename failed for " + tmp_ +
+                              " (injected)");
+        }
+        if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+            const Expected<void> err =
+                unexpected(errnoMessage("snapshot: rename failed for", tmp_));
+            std::remove(tmp_.c_str());
+            return err;
+        }
+        const std::size_t slash = path_.rfind('/');
+        const std::string dir = slash == std::string::npos ? "."
+                                : slash == 0 ? "/"
+                                             : path_.substr(0, slash);
+        if (!syncDirectory(dir)) {
+            return unexpected(
+                errnoMessage("snapshot: directory fsync failed for", dir));
+        }
+        if (torn_) {
+            return unexpected("snapshot: torn rename for " + path_ +
+                              " (injected; destination truncated)");
+        }
+        return {};
+    }
+
+    void
+    abandon()
+    {
+        if (fp_ != nullptr) {
+            std::fclose(fp_);
+            fp_ = nullptr;
+            std::remove(tmp_.c_str());
+        }
+    }
+
+  private:
+    std::string path_;
+    std::string tmp_;
+    bool rotating_;
+    std::FILE *fp_ = nullptr;
+    std::size_t bytes_ = 0;
+    bool torn_ = false;
+    std::string error_; // first failure; "" while every step succeeded
+};
+
 } // namespace
 
 std::uint32_t
@@ -117,6 +272,22 @@ SnapshotWriter::SnapshotWriter()
     u32(0); // reserved flags
 }
 
+SnapshotWriter::SnapshotWriter(SnapshotCommitter &committer,
+                               const std::string &path)
+    : out_(committer.begin(path)), committer_(&committer)
+{
+    put(kMagic, sizeof(kMagic));
+    u32(kSnapshotVersion);
+    u32(0); // reserved flags
+}
+
+SnapshotWriter::~SnapshotWriter()
+{
+    if (committer_ != nullptr && !finished_) {
+        committer_->end(std::move(out_), false);
+    }
+}
+
 void
 SnapshotWriter::grow(std::size_t len)
 {
@@ -130,7 +301,7 @@ SnapshotWriter::grow(std::size_t len)
 void
 SnapshotWriter::beginChunk(std::uint32_t tag)
 {
-    if (chunk_start_ != 0 || finished_) {
+    if (chunk_start_ != kNoChunk || finished_) {
         panic("SnapshotWriter::beginChunk: chunk already open or finished");
     }
     chunk_start_ = len_;
@@ -142,7 +313,7 @@ SnapshotWriter::beginChunk(std::uint32_t tag)
 void
 SnapshotWriter::endChunk()
 {
-    if (chunk_start_ == 0) {
+    if (chunk_start_ == kNoChunk) {
         panic("SnapshotWriter::endChunk: no open chunk");
     }
     const std::uint64_t payload_len = len_ - chunk_start_ - kChunkHeaderBytes;
@@ -150,9 +321,14 @@ SnapshotWriter::endChunk()
                 sizeof(payload_len));
     const std::uint32_t crc =
         crc32c(out_.data() + chunk_start_, len_ - chunk_start_);
-    chunk_start_ = 0;
+    chunk_start_ = kNoChunk;
     ++chunk_count_;
     u32(crc);
+    if (committer_ != nullptr && len_ >= kBlockBytes) {
+        out_.resize(len_);
+        out_ = committer_->exchange(std::move(out_));
+        len_ = 0;
+    }
 }
 
 void
@@ -167,7 +343,7 @@ SnapshotWriter::str(std::string_view v)
 const std::vector<std::uint8_t> &
 SnapshotWriter::finish()
 {
-    if (chunk_start_ != 0) {
+    if (chunk_start_ != kNoChunk) {
         panic("SnapshotWriter::finish: chunk still open");
     }
     if (!finished_) {
@@ -177,6 +353,11 @@ SnapshotWriter::finish()
         endChunk();
         out_.resize(len_);
         finished_ = true;
+        if (committer_ != nullptr) {
+            committer_->end(std::move(out_), true);
+            out_.clear();
+            len_ = 0;
+        }
     }
     return out_;
 }
@@ -184,68 +365,188 @@ SnapshotWriter::finish()
 Expected<void>
 SnapshotWriter::commit(const std::string &path)
 {
-    const std::vector<std::uint8_t> &image = finish();
-    const std::string tmp = path + ".tmp";
-    if (fault::shouldFail("snapshot.commit.enospc")) {
-        return unexpected("snapshot: cannot create " + tmp +
-                          ": No space left on device (injected)");
-    }
-    std::FILE *fp = std::fopen(tmp.c_str(), "wb");
-    if (fp == nullptr) {
-        return unexpected(errnoMessage("snapshot: cannot create", tmp));
-    }
-    // A torn rename writes a truncated image but then "succeeds" all
-    // the way through rename, leaving a corrupt destination — the
-    // failure mode a crash between fwrite and fsync would produce on
-    // a journal-less filesystem. The .prev generation must rescue it.
-    const bool torn = fault::shouldFail("snapshot.commit.torn_rename");
-    const bool short_write =
-        !torn && fault::shouldFail("snapshot.commit.short_write");
-    const std::size_t intend =
-        (torn || short_write) ? image.size() / 2 : image.size();
-    const std::size_t written =
-        intend == 0 ? 0 : std::fwrite(image.data(), 1, intend, fp);
-    if (short_write || written != intend || std::fflush(fp) != 0 ||
-        fsync(fileno(fp)) != 0) {
-        const Expected<void> err =
-            unexpected(errnoMessage("snapshot: short write to", tmp));
-        std::fclose(fp);
-        std::remove(tmp.c_str());
-        return err;
-    }
-    if (std::fclose(fp) != 0) {
-        std::remove(tmp.c_str());
-        return unexpected(errnoMessage("snapshot: close failed for", tmp));
-    }
-    if (fault::shouldFail("snapshot.commit.rename")) {
-        std::remove(tmp.c_str());
-        return unexpected("snapshot: rename failed for " + tmp +
-                          " (injected)");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const Expected<void> err =
-            unexpected(errnoMessage("snapshot: rename failed for", tmp));
-        std::remove(tmp.c_str());
-        return err;
-    }
-    if (torn) {
-        return unexpected("snapshot: torn rename for " + path +
-                          " (injected; destination truncated)");
-    }
-    return {};
+    return persist(path, false);
 }
 
 Expected<void>
 SnapshotWriter::commitRotating(const std::string &path)
 {
-    // Keep the previous good generation: path -> path.prev, then the
-    // fresh image lands on path. A crash between the two renames
-    // leaves .prev loadable; a torn .tmp write never touches either.
-    const std::string prev = path + ".prev";
-    if (std::rename(path.c_str(), prev.c_str()) != 0 && errno != ENOENT) {
-        return unexpected(errnoMessage("snapshot: rotate failed for", path));
+    return persist(path, true);
+}
+
+Expected<void>
+SnapshotWriter::persist(const std::string &path, bool rotating)
+{
+    if (committer_ != nullptr) {
+        panic("SnapshotWriter::commit: a streaming writer commits through "
+              "its committer");
     }
-    return commit(path);
+    const std::vector<std::uint8_t> &image = finish();
+    GenerationFile file(path, rotating);
+    file.open();
+    file.append(image.data(), image.size());
+    return file.publish();
+}
+
+/** What the writer side and the committer thread share. */
+struct SnapshotCommitter::Shared
+{
+    /** Where the image in flight stands. */
+    enum class Image
+    {
+        None,      ///< nothing in flight: a writer may begin
+        Streaming, ///< its writer is still encoding
+        Complete,  ///< finished: publish once the queue is written
+        Abandoned, ///< never finished: remove the .tmp once drained
+    };
+
+    std::mutex mutex;
+    std::condition_variable work;   // committer thread: work or stop
+    std::condition_variable landed; // writer side: block back or landing
+    Image image = Image::None;
+    std::string path;
+    std::deque<std::vector<std::uint8_t>> queue;
+    std::vector<std::vector<std::uint8_t>> spare; // written blocks, for reuse
+    std::size_t blocks = 0; // every buffer in the pool, wherever it is
+    std::string error;      // first failure since the last drain()
+    bool stop = false;
+    std::thread thread;
+
+    /** A recycled buffer, or a new one while the pool is short. */
+    std::vector<std::uint8_t>
+    takeBuffer(std::unique_lock<std::mutex> &lock)
+    {
+        landed.wait(lock,
+                    [&] { return !spare.empty() || blocks < kPoolBlocks; });
+        if (spare.empty()) {
+            ++blocks;
+            return {};
+        }
+        std::vector<std::uint8_t> buffer = std::move(spare.back());
+        spare.pop_back();
+        return buffer;
+    }
+
+    /** Return a written or discarded block to the pool. */
+    void
+    recycle(std::vector<std::uint8_t> block)
+    {
+        block.clear();
+        spare.push_back(std::move(block));
+        landed.notify_all();
+    }
+
+    /** The committer thread: one image after another, in order. */
+    void
+    run()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            work.wait(lock, [&] { return stop || image != Image::None; });
+            if (image == Image::None) {
+                return;
+            }
+            GenerationFile file(path, true);
+            lock.unlock();
+            file.open();
+            lock.lock();
+            for (;;) {
+                work.wait(lock, [&] {
+                    return !queue.empty() || image != Image::Streaming;
+                });
+                if (queue.empty()) {
+                    break;
+                }
+                std::vector<std::uint8_t> block = std::move(queue.front());
+                queue.pop_front();
+                if (image != Image::Abandoned) {
+                    lock.unlock();
+                    file.append(block.data(), block.size());
+                    lock.lock();
+                }
+                recycle(std::move(block));
+            }
+            const bool complete = image == Image::Complete;
+            lock.unlock();
+            Expected<void> outcome;
+            if (complete) {
+                outcome = file.publish();
+            } else {
+                file.abandon();
+            }
+            lock.lock();
+            if (!outcome.ok() && error.empty()) {
+                error = outcome.error();
+            }
+            image = Image::None;
+            landed.notify_all();
+        }
+    }
+};
+
+SnapshotCommitter::SnapshotCommitter() : shared_(std::make_unique<Shared>())
+{
+    shared_->thread = std::thread([shared = shared_.get()] { shared->run(); });
+}
+
+SnapshotCommitter::~SnapshotCommitter()
+{
+    (void)drain();
+    {
+        std::lock_guard<std::mutex> lock(shared_->mutex);
+        shared_->stop = true;
+    }
+    shared_->work.notify_all();
+    shared_->thread.join();
+}
+
+Expected<void>
+SnapshotCommitter::drain()
+{
+    std::unique_lock<std::mutex> lock(shared_->mutex);
+    shared_->landed.wait(lock,
+                         [&] { return shared_->image == Shared::Image::None; });
+    std::string error = std::move(shared_->error);
+    shared_->error.clear();
+    if (!error.empty()) {
+        return unexpected(std::move(error));
+    }
+    return {};
+}
+
+std::vector<std::uint8_t>
+SnapshotCommitter::begin(const std::string &path)
+{
+    std::unique_lock<std::mutex> lock(shared_->mutex);
+    shared_->landed.wait(lock,
+                         [&] { return shared_->image == Shared::Image::None; });
+    shared_->path = path;
+    shared_->image = Shared::Image::Streaming;
+    shared_->work.notify_one();
+    return shared_->takeBuffer(lock);
+}
+
+std::vector<std::uint8_t>
+SnapshotCommitter::exchange(std::vector<std::uint8_t> block)
+{
+    std::unique_lock<std::mutex> lock(shared_->mutex);
+    shared_->queue.push_back(std::move(block));
+    shared_->work.notify_one();
+    return shared_->takeBuffer(lock);
+}
+
+void
+SnapshotCommitter::end(std::vector<std::uint8_t> tail, bool complete)
+{
+    std::lock_guard<std::mutex> lock(shared_->mutex);
+    if (complete && !tail.empty()) {
+        shared_->queue.push_back(std::move(tail));
+    } else {
+        shared_->recycle(std::move(tail));
+    }
+    shared_->image =
+        complete ? Shared::Image::Complete : Shared::Image::Abandoned;
+    shared_->work.notify_one();
 }
 
 Expected<SnapshotReader>

@@ -13,10 +13,14 @@
  * The file ends with a mandatory "END!" chunk whose payload is the
  * count of preceding chunks; trailing garbage after it is rejected.
  *
- * Writing is atomic: the whole image is built in memory, written to
- * `<path>.tmp`, fsync'd, then renamed over `<path>`. commitRotating()
- * additionally keeps the previous good generation at `<path>.prev`, so
- * a crash at any instant leaves at least one loadable checkpoint.
+ * Writing is atomic: the image goes to `<path>.tmp`, is fsync'd, then
+ * renamed over `<path>`, and the directory is fsync'd so the rename
+ * itself survives a power loss. commitRotating() additionally keeps the
+ * previous good generation at `<path>.prev`, so a crash at any instant
+ * leaves at least one loadable checkpoint. A writer either builds the
+ * whole image in memory (finish(), commit()) or streams it, one block
+ * of whole chunks at a time, to a SnapshotCommitter that runs the same
+ * protocol on its own thread; its commits land strictly in order.
  *
  * Reading is abort-free: SnapshotReader carries a sticky error (like
  * std::istream) — the first malformed field poisons the reader, every
@@ -31,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,17 +70,40 @@ std::uint32_t crc32c(const void *data, std::size_t len,
 std::uint32_t crc32cPortable(const void *data, std::size_t len,
                              std::uint32_t seed = 0);
 
+class SnapshotCommitter;
+
 /**
- * Builds a snapshot image in memory and commits it atomically.
+ * Builds a snapshot image and commits it atomically.
  *
  * Usage: beginChunk(tag), write primitives, endChunk(), repeat; then
  * either commit()/commitRotating() to persist, or finish() to get the
  * complete image for in-memory round trips (tests, microbenches).
+ *
+ * A writer made on a SnapshotCommitter streams instead: whenever a
+ * chunk closes with at least kBlockBytes of closed chunks buffered, it
+ * hands that block to the committer and carries on in a recycled
+ * buffer, and finish() hands over the tail. Such a writer never holds
+ * the whole image, and one destroyed before finish() publishes nothing.
  */
 class SnapshotWriter
 {
   public:
+    /** Closed-chunk bytes a streaming writer buffers per block. */
+    static constexpr std::size_t kBlockBytes = 256 * 1024;
+
+    /** An in-memory writer. */
     SnapshotWriter();
+    /**
+     * A streaming writer whose image becomes the next rotating
+     * generation of `path`, written by `committer` (see
+     * SnapshotCommitter). Waits for the committer's image in flight,
+     * if any, to land first. `committer` must outlive the writer.
+     */
+    SnapshotWriter(SnapshotCommitter &committer, const std::string &path);
+    /** A streaming writer never finished abandons its image. */
+    ~SnapshotWriter();
+    SnapshotWriter(const SnapshotWriter &) = delete;
+    SnapshotWriter &operator=(const SnapshotWriter &) = delete;
 
     /** Open a chunk; primitives written next land in its payload. */
     void beginChunk(std::uint32_t tag);
@@ -105,21 +133,24 @@ class SnapshotWriter
 
     /**
      * Append the terminal END chunk and return the finished image.
-     * The writer is spent afterwards.
+     * The writer is spent afterwards. A streaming writer hands the
+     * tail to its committer instead, and the buffer it returns is
+     * empty.
      */
     const std::vector<std::uint8_t> &finish();
 
     /**
      * finish() + atomic persist: write `<path>.tmp`, flush + fsync,
-     * rename over `<path>`. Any OS-level failure is returned, not
-     * thrown.
+     * rename over `<path>`, fsync the directory. Any OS-level failure
+     * is returned, not thrown. Not for a streaming writer.
      */
     Expected<void> commit(const std::string &path);
 
     /**
      * Like commit(), but first rotates an existing `<path>` to
      * `<path>.prev` so the previous good generation survives a corrupt
-     * or torn write of the new one.
+     * or torn write of the new one. This is the committer's protocol,
+     * run on the calling thread for the whole image.
      */
     Expected<void> commitRotating(const std::string &path);
 
@@ -136,14 +167,69 @@ class SnapshotWriter
     }
     /** Widen out_'s writable window to fit `len` more bytes. */
     void grow(std::size_t len);
+    /** finish() + the shared file protocol, on this thread. */
+    Expected<void> persist(const std::string &path, bool rotating);
+
+    /** chunk_start_ while no chunk is open. */
+    static constexpr std::size_t kNoChunk = ~std::size_t{0};
 
     // Only the first len_ bytes of out_ are image so far; the rest is
-    // zeroed window for the next put(). finish() trims it to len_.
+    // zeroed window for the next put(). finish() trims it to len_. A
+    // streaming writer's out_ holds only the bytes since its last
+    // hand-off, so a chunk may start at offset 0.
     std::vector<std::uint8_t> out_;
     std::size_t len_ = 0;
-    std::size_t chunk_start_ = 0; // offset of open chunk's tag; 0 = closed
+    std::size_t chunk_start_ = kNoChunk; // offset of the open chunk's tag
     std::uint32_t chunk_count_ = 0;
     bool finished_ = false;
+    SnapshotCommitter *committer_ = nullptr; // streaming writers only
+};
+
+/**
+ * Writes streamed snapshot images on a thread of its own, each as the
+ * next rotating generation of its path, by the same protocol as
+ * SnapshotWriter::commitRotating(): rotate `<path>` to `<path>.prev`,
+ * create `<path>.tmp`, write the blocks as they arrive, flush + fsync,
+ * rename over `<path>`, fsync the directory. The `snapshot.commit.*`
+ * fault points fire there, in the same order.
+ *
+ * Images land strictly in the order their writers were made. At most
+ * one is in flight: a new writer waits for the previous image to land.
+ * At most kPoolBlocks blocks exist, recycled from image to image: a
+ * writer that outruns the disk waits for one to come back. An image
+ * whose writer is destroyed before finish() is never published, and
+ * its `.tmp` is removed. The destructor drains, then stops the thread.
+ */
+class SnapshotCommitter
+{
+  public:
+    /** Blocks in the pool: the writer's own, queued and on disk. */
+    static constexpr std::size_t kPoolBlocks = 4;
+
+    SnapshotCommitter();
+    ~SnapshotCommitter();
+    SnapshotCommitter(const SnapshotCommitter &) = delete;
+    SnapshotCommitter &operator=(const SnapshotCommitter &) = delete;
+
+    /**
+     * Wait until the image in flight, if any, has landed. Returns the
+     * first failure among the images finished since the last drain()
+     * (an abandoned image is not a failure).
+     */
+    Expected<void> drain();
+
+  private:
+    friend class SnapshotWriter;
+    struct Shared;
+
+    /** Start streaming the next image; its first buffer. */
+    std::vector<std::uint8_t> begin(const std::string &path);
+    /** Queue a full block; an empty buffer to continue in. */
+    std::vector<std::uint8_t> exchange(std::vector<std::uint8_t> block);
+    /** Queue the tail and publish the image, or abandon it. */
+    void end(std::vector<std::uint8_t> tail, bool complete);
+
+    std::unique_ptr<Shared> shared_;
 };
 
 /**

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -1164,6 +1166,142 @@ TEST_F(FleetScanResumeTest, ResumedRunIsByteIdentical)
               reference);
 }
 
+/** Observer throwing a non-cancel error on one day. */
+class ThrowOn : public core::SweepObserver
+{
+  public:
+    explicit ThrowOn(std::size_t day) : day_(day) {}
+    bool
+    onSweep(std::size_t day, double, const double *,
+            std::size_t) override
+    {
+        if (day == day_) {
+            throw std::runtime_error("observer failed");
+        }
+        return true;
+    }
+
+  private:
+    std::size_t day_;
+};
+
+bool
+pathExists(const std::string &path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+/** Threads of this process, as /proc/self/task lists them. */
+std::size_t
+threadCount()
+{
+    std::size_t count = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)task;
+        ++count;
+    }
+    return count;
+}
+
+// A cancellation on a periodic commit day must not commit that day
+// twice: the second commit would rotate the only older generation away,
+// leaving day 10 in both .ckpt and .prev.
+TEST_F(FleetScanResumeTest, CancelOnACommitDayKeepsTheOlderGeneration)
+{
+    const util::Expected<serve::FleetScanResult> straight =
+        serve::runFleetScan(scanConfig());
+    ASSERT_TRUE(straight.ok()) << straight.error();
+
+    const std::string path = dir_ + "/scan.ckpt";
+    serve::FleetScanConfig interrupted = scanConfig();
+    interrupted.checkpoint_every_days = 5;
+    interrupted.checkpoint_path = path;
+    CancelAfter cancel(10);
+    interrupted.observer = &cancel;
+    EXPECT_THROW((void)serve::runFleetScan(interrupted),
+                 util::CancelledError);
+
+    // Resume from the older generation alone: it must be day 5.
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    ASSERT_EQ(std::rename((path + ".prev").c_str(), path.c_str()), 0);
+    serve::FleetScanConfig resumed = scanConfig();
+    resumed.checkpoint_path = path;
+    resumed.resume = serve::ResumeMode::Require;
+    const util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(resumed);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().resumed_day, 5);
+    EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+              serve::encodeFleetScanResult(1, straight.value()));
+}
+
+// A halted call returns only once its generation has landed: the
+// primary loads at once, without falling back, at the halt day.
+TEST_F(FleetScanResumeTest, HaltedCallsGenerationLoadsWithoutFallback)
+{
+    const std::string path = dir_ + "/scan.ckpt";
+    serve::FleetScanConfig halted = scanConfig();
+    halted.checkpoint_every_days = 5;
+    halted.checkpoint_path = path;
+    halted.halt_at_day = 12;
+    const util::Expected<serve::FleetScanResult> part =
+        serve::runFleetScan(halted);
+    ASSERT_TRUE(part.ok()) << part.error();
+    EXPECT_EQ(part.value().halted_after_day, 12);
+
+    bool used_fallback = true;
+    const util::Expected<util::SnapshotReader> opened =
+        util::SnapshotReader::openWithFallback(path, &used_fallback);
+    ASSERT_TRUE(opened.ok()) << opened.error();
+    EXPECT_FALSE(used_fallback);
+    EXPECT_FALSE(pathExists(path + ".tmp"));
+
+    serve::FleetScanConfig resumed = scanConfig();
+    resumed.checkpoint_path = path;
+    resumed.resume = serve::ResumeMode::Require;
+    const util::Expected<serve::FleetScanResult> rest =
+        serve::runFleetScan(resumed);
+    ASSERT_TRUE(rest.ok()) << rest.error();
+    EXPECT_EQ(rest.value().resumed_from, path);
+    EXPECT_EQ(rest.value().resumed_day, 12);
+}
+
+// An observer failing with a non-cancel error right after a commit
+// unwinds the call past a generation still in flight: the committer is
+// drained and joined on the way out, so no thread outlives the call,
+// no .tmp is left, and the generation is on disk.
+TEST_F(FleetScanResumeTest, ThrowingObserverLeavesNoThreadOrTmp)
+{
+    if (!std::filesystem::exists("/proc/self/task")) {
+        GTEST_SKIP() << "no /proc/self/task to count threads";
+    }
+    const std::size_t threads = threadCount();
+    const std::string path = dir_ + "/scan.ckpt";
+    serve::FleetScanConfig config = scanConfig();
+    config.checkpoint_every_days = 5;
+    config.checkpoint_path = path;
+    ThrowOn failing(10);
+    config.observer = &failing;
+    EXPECT_THROW((void)serve::runFleetScan(config), std::runtime_error);
+
+    EXPECT_FALSE(pathExists(path + ".tmp"));
+    bool used_fallback = true;
+    const util::Expected<util::SnapshotReader> opened =
+        util::SnapshotReader::openWithFallback(path, &used_fallback);
+    ASSERT_TRUE(opened.ok()) << opened.error();
+    EXPECT_FALSE(used_fallback);
+    // A joined thread may linger in the task list for a moment after
+    // join() returns; a leaked one would stay.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (threadCount() > threads &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(threadCount(), threads);
+}
+
 #if defined(PENTIMENTO_FAULT_INJECTION)
 
 TEST_F(FleetScanResumeTest, BitRottenPrimaryResumesFromPrevGeneration)
@@ -1234,6 +1372,69 @@ TEST_F(FleetScanResumeTest, FailedCommitsContinueWithoutTheCheckpoint)
     EXPECT_LT(enospc.fires, enospc.evaluations);
     EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
               serve::encodeFleetScanResult(1, straight.value()));
+}
+
+// Every commit fault point under the background committer: failed
+// commits leave the campaign's result as the straight run's, and when
+// the last commit of a cancelled run fails, the generation the
+// rotation moved to .prev resumes it.
+TEST_F(FleetScanResumeTest, CommitterFaultsKeepTheResultAndThePrevRescue)
+{
+    const util::Expected<serve::FleetScanResult> straight =
+        serve::runFleetScan(scanConfig());
+    ASSERT_TRUE(straight.ok()) << straight.error();
+    const std::vector<std::uint8_t> reference =
+        serve::encodeFleetScanResult(1, straight.value());
+    const std::string path = dir_ + "/scan.ckpt";
+
+    for (const std::string point :
+         {"snapshot.commit.enospc", "snapshot.commit.short_write",
+          "snapshot.commit.rename", "snapshot.commit.torn_rename"}) {
+        SCOPED_TRACE(point);
+        std::remove(path.c_str());
+        std::remove((path + ".prev").c_str());
+        {
+            // Commits on days 5..25; the second and third fail.
+            const FaultScope faults(
+                ("seed=2;" + point + ":skip=1,max=2").c_str());
+            serve::FleetScanConfig config = scanConfig();
+            config.checkpoint_every_days = 5;
+            config.checkpoint_path = path;
+            const util::Expected<serve::FleetScanResult> result =
+                serve::runFleetScan(config);
+            ASSERT_TRUE(result.ok()) << result.error();
+            EXPECT_EQ(FaultScope::stats(point).fires, 2u);
+            EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+                      reference);
+        }
+        std::remove(path.c_str());
+        std::remove((path + ".prev").c_str());
+        {
+            // Commits on days 5, 10, 15 and 20 land; the cancellation
+            // flush on day 22 fails after rotating day 20 to .prev.
+            const FaultScope faults(
+                ("seed=2;" + point + ":skip=4,max=1").c_str());
+            serve::FleetScanConfig interrupted = scanConfig();
+            interrupted.checkpoint_every_days = 5;
+            interrupted.checkpoint_path = path;
+            CancelAfter cancel(22);
+            interrupted.observer = &cancel;
+            EXPECT_THROW((void)serve::runFleetScan(interrupted),
+                         util::CancelledError);
+            EXPECT_EQ(FaultScope::stats(point).fires, 1u);
+        }
+        EXPECT_FALSE(pathExists(path + ".tmp"));
+        serve::FleetScanConfig resumed = scanConfig();
+        resumed.checkpoint_path = path;
+        resumed.resume = serve::ResumeMode::Require;
+        const util::Expected<serve::FleetScanResult> result =
+            serve::runFleetScan(resumed);
+        ASSERT_TRUE(result.ok()) << result.error();
+        EXPECT_EQ(result.value().resumed_from, path + ".prev");
+        EXPECT_EQ(result.value().resumed_day, 20);
+        EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+                  reference);
+    }
 }
 
 #endif // PENTIMENTO_FAULT_INJECTION

@@ -21,13 +21,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "cloud/platform.hpp"
 #include "core/presets.hpp"
@@ -600,6 +606,279 @@ TEST(SnapshotFormat, InjectedLoadCorruptionFallsBackToPrev)
     EXPECT_TRUE(used_fallback);
     EXPECT_EQ(readMarker(recovered.value()), 1u);
 
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
+#endif // PENTIMENTO_FAULT_INJECTION
+
+// ------------------------------------------------- streamed commits
+
+namespace {
+
+/**
+ * One kTag1 chunk per entry of `payloads`, each payload exactly that
+ * many bytes (>= 8): a length-prefixed string of a chunk-specific
+ * byte pattern.
+ */
+void
+writeChunks(pu::SnapshotWriter &writer,
+            const std::vector<std::size_t> &payloads)
+{
+    for (std::size_t c = 0; c < payloads.size(); ++c) {
+        std::string payload(payloads[c] - 8, '\0');
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+            payload[i] = static_cast<char>(i * 31 + c);
+        }
+        writer.beginChunk(kTag1);
+        writer.str(payload);
+        writer.endChunk();
+    }
+}
+
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::FILE *fp = std::fopen(path.c_str(), "rb");
+    if (fp == nullptr) {
+        return bytes;
+    }
+    std::uint8_t buffer[65536];
+    std::size_t got = 0;
+    while ((got = std::fread(buffer, 1, sizeof(buffer), fp)) > 0) {
+        bytes.insert(bytes.end(), buffer, buffer + got);
+    }
+    std::fclose(fp);
+    return bytes;
+}
+
+/** Size of `path` in bytes, or -1 when it does not exist. */
+long long
+fileSize(const std::string &path)
+{
+    struct stat info{};
+    return ::stat(path.c_str(), &info) == 0
+               ? static_cast<long long>(info.st_size)
+               : -1;
+}
+
+/** Streamed commit of a one-chunk marker image; waits for it. */
+pu::Expected<void>
+streamMarker(pu::SnapshotCommitter &committer, const std::string &path,
+             std::uint64_t marker)
+{
+    {
+        pu::SnapshotWriter writer(committer, path);
+        writer.beginChunk(kTag1);
+        writer.u64(marker);
+        writer.endChunk();
+        writer.finish();
+    }
+    return committer.drain();
+}
+
+} // namespace
+
+// The committer writes exactly the bytes finish() would have returned,
+// whatever the block boundaries: an image below one block, a chunk
+// closing exactly at (and one byte short of) the flush threshold, one
+// chunk larger than a block, and more blocks than the pool holds. Each
+// lands as a rotating generation, so .prev holds the one before.
+TEST(SnapshotCommitter, StreamedBytesEqualTheFinishedImage)
+{
+    // After the 16-byte file header, a chunk adds a 16-byte header and
+    // a 4-byte CRC to its payload: a first payload of kBlockBytes - 36
+    // closes exactly at the threshold.
+    constexpr std::size_t kBlock = pu::SnapshotWriter::kBlockBytes;
+    const std::vector<std::vector<std::size_t>> shapes = {
+        {8, 100},
+        {kBlock - 36, 8},
+        {kBlock - 37, 8},
+        {64, 3 * kBlock + 5, 64},
+        std::vector<std::size_t>(40, 50000),
+    };
+    const std::string path = tempPath("snap_stream.bin");
+    const std::string prev = path + ".prev";
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+
+    pu::SnapshotCommitter committer;
+    std::vector<std::uint8_t> previous;
+    for (const std::vector<std::size_t> &shape : shapes) {
+        pu::SnapshotWriter memory;
+        writeChunks(memory, shape);
+        const std::vector<std::uint8_t> image = memory.finish();
+        {
+            pu::SnapshotWriter streamed(committer, path);
+            writeChunks(streamed, shape);
+            EXPECT_TRUE(streamed.finish().empty());
+        }
+        const pu::Expected<void> landed = committer.drain();
+        ASSERT_TRUE(landed.ok()) << landed.error();
+        EXPECT_EQ(readFile(path), image)
+            << shape.size() << " chunks, first " << shape[0] << " B";
+        EXPECT_FALSE(fileExists(path + ".tmp"));
+        if (!previous.empty()) {
+            EXPECT_EQ(readFile(prev), previous);
+        }
+        previous = image;
+    }
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
+// The image the campaign engine commits: a 112-board fleet after 180
+// days of weekly tenancies, streamed and in memory, byte for byte.
+TEST(SnapshotCommitter, FleetAtDay180StreamsTheFinishedImage)
+{
+    pc::PlatformConfig config;
+    config.fleet_size = 112;
+    config.region = "stream";
+    config.seed = 180;
+    pc::CloudPlatform platform(config);
+    std::vector<std::pair<std::string, int>> rented; // board, end day
+    for (int day = 0; day < 180; ++day) {
+        for (std::size_t i = rented.size(); i-- > 0;) {
+            if (rented[i].second <= day) {
+                platform.release(rented[i].first);
+                rented.erase(rented.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+            }
+        }
+        if (day % 7 == 0) {
+            for (int t = 0; t < 4; ++t) {
+                const std::optional<std::string> board = platform.rent();
+                ASSERT_TRUE(board.has_value());
+                pf::Device &device = platform.instance(*board).device();
+                std::vector<pf::RouteSpec> specs;
+                for (int r = 0; r < 8; ++r) {
+                    specs.push_back(device.allocateRoute(
+                        *board + "_d" + std::to_string(day) + "_r" +
+                            std::to_string(r),
+                        2000.0));
+                }
+                auto design = std::make_shared<pf::TargetDesign>(
+                    "t_" + *board + "_d" + std::to_string(day), specs,
+                    std::vector<bool>(specs.size(), (day + t) % 2 == 0));
+                ASSERT_TRUE(platform.loadDesign(*board, design).empty());
+                rented.emplace_back(*board, day + 2 + 3 * t);
+            }
+        }
+        platform.advanceHours(24.0);
+    }
+
+    pu::SnapshotWriter memory;
+    platform.saveState(memory);
+    const std::vector<std::uint8_t> image = memory.finish();
+    ASSERT_GT(image.size(), 2 * pu::SnapshotWriter::kBlockBytes);
+
+    const std::string path = tempPath("snap_fleet.bin");
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    pu::SnapshotCommitter committer;
+    {
+        pu::SnapshotWriter streamed(committer, path);
+        platform.saveState(streamed);
+        streamed.finish();
+    }
+    const pu::Expected<void> landed = committer.drain();
+    ASSERT_TRUE(landed.ok()) << landed.error();
+    EXPECT_EQ(readFile(path), image);
+    std::remove(path.c_str());
+}
+
+// A writer destroyed before finish() — an exception mid-encode — never
+// publishes. Its blocks already reached the .tmp; the committer
+// removes it, the rotation left the older generation at .prev, and the
+// next image commits normally.
+TEST(SnapshotCommitter, UnfinishedImagePublishesNothing)
+{
+    const std::string path = tempPath("snap_unfinished.bin");
+    const std::string prev = path + ".prev";
+    const std::string tmp = path + ".tmp";
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+    std::remove(tmp.c_str());
+
+    pu::SnapshotCommitter committer;
+    ASSERT_TRUE(streamMarker(committer, path, 1).ok());
+    {
+        constexpr std::size_t kBlock = pu::SnapshotWriter::kBlockBytes;
+        pu::SnapshotWriter abandoned(committer, path);
+        writeChunks(abandoned, {kBlock, kBlock, kBlock});
+        // Blocks stream before finish(): wait until they are on disk.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (fileSize(tmp) < static_cast<long long>(2 * kBlock) &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_GE(fileSize(tmp), static_cast<long long>(2 * kBlock));
+    }
+    const pu::Expected<void> landed = committer.drain();
+    EXPECT_TRUE(landed.ok()) << landed.error();
+    EXPECT_FALSE(fileExists(tmp));
+    EXPECT_FALSE(fileExists(path));
+    bool used_fallback = false;
+    pu::Expected<pu::SnapshotReader> older =
+        pu::SnapshotReader::openWithFallback(path, &used_fallback);
+    ASSERT_TRUE(older.ok()) << older.error();
+    EXPECT_TRUE(used_fallback);
+    EXPECT_EQ(readMarker(older.value()), 1u);
+
+    ASSERT_TRUE(streamMarker(committer, path, 3).ok());
+    pu::Expected<pu::SnapshotReader> next =
+        pu::SnapshotReader::openWithFallback(path, &used_fallback);
+    ASSERT_TRUE(next.ok()) << next.error();
+    EXPECT_FALSE(used_fallback);
+    EXPECT_EQ(readMarker(next.value()), 3u);
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
+#if defined(PENTIMENTO_FAULT_INJECTION)
+
+// The committer thread runs the synchronous commit's fault points: each
+// failure comes back from drain() once, leaves no .tmp, and the
+// rotation-first .prev still rescues — also after a torn rename, which
+// publishes a truncated primary.
+TEST(SnapshotCommitter, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
+{
+    const std::string path = tempPath("snap_stream_fault.bin");
+    const std::string prev = path + ".prev";
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+    std::remove((path + ".tmp").c_str());
+
+    pu::SnapshotCommitter committer;
+    const char *failures[] = {"snapshot.commit.enospc",
+                              "snapshot.commit.short_write",
+                              "snapshot.commit.rename",
+                              "snapshot.commit.torn_rename"};
+    for (const char *point : failures) {
+        std::remove(path.c_str());
+        std::remove(prev.c_str());
+        ASSERT_TRUE(streamMarker(committer, path, 1).ok()) << point;
+
+        const pu::Expected<pu::fault::Schedule> schedule =
+            pu::fault::parseSchedule(std::string("seed=1;") + point +
+                                     ":max=1");
+        ASSERT_TRUE(schedule.ok()) << schedule.error();
+        pu::fault::arm(schedule.value());
+        const pu::Expected<void> failed = streamMarker(committer, path, 2);
+        pu::fault::disarm();
+        ASSERT_FALSE(failed.ok()) << point << " did not fire";
+        EXPECT_TRUE(committer.drain().ok()) << point << " reported twice";
+        EXPECT_FALSE(fileExists(path + ".tmp")) << point;
+
+        bool used_fallback = false;
+        pu::Expected<pu::SnapshotReader> recovered =
+            pu::SnapshotReader::openWithFallback(path, &used_fallback);
+        ASSERT_TRUE(recovered.ok()) << point << ": " << recovered.error();
+        EXPECT_TRUE(used_fallback) << point;
+        EXPECT_EQ(readMarker(recovered.value()), 1u) << point;
+    }
     std::remove(path.c_str());
     std::remove(prev.c_str());
 }
